@@ -319,9 +319,6 @@ class AlgebraElement:
         """Sorted distinct total degrees present in this element."""
         return tuple(sorted({m.degree for m in self._terms}))
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int | None:
         """Total degree of a homogeneous element; None for 0."""
         degs = self.degrees()
@@ -505,13 +502,6 @@ def coords_in_A(elt: AlgebraElement, k: int) -> list[Scalar]:
     for mono, coeff in elt._terms.items():
         coords[index[mono]] = coeff
     return coords
-
-
-def element_from_coords(coords: Iterable[Scalar], k: int) -> AlgebraElement:
-    basis = basis_A(k)
-    return AlgebraElement.from_terms(
-        (basis[n], c) for n, c in enumerate(coords) if c
-    )
 
 
 def restrict_to_B(a: AlgebraElement) -> AlgebraElement:

@@ -198,7 +198,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return ScalarLit(GaussianRational(Fraction(tok.text)))
+            try:
+                return ScalarLit(GaussianRational(Fraction(tok.text)))
+            except ZeroDivisionError:
+                raise ExprSyntaxError(
+                    f"zero denominator in {tok.text!r}", tok.line, tok.column
+                ) from None
         if tok.kind == "name":
             self.advance()
             if tok.text == "i":

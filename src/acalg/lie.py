@@ -112,28 +112,35 @@ def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def lie_basis(k: int) -> tuple[LieElement, ...]:
-    """Deterministic basis of the degree-k piece of g.
+def _graded_basis(seed: tuple[str, ...], k: int) -> tuple[tuple[BracketWord, LieElement], ...]:
+    """Degree-k basis grown from the degree-1 generators ``seed``, with the
+    bracket word that produced each element.
 
-    Degree 1 is the four generators.  For k >= 2 the candidates are the
-    commutators [delbar, h] then [del, h] over the degree k-1 basis, and a
-    maximal independent subset is selected greedily in that order.
+    For k >= 2 the candidates are the commutators [delbar, b] then [del, b]
+    over the degree k-1 basis, and a maximal independent subset is selected
+    greedily in that order.
     """
-    if k < 1:
-        raise InvalidDegree(f"lie_basis needs a positive degree, got {k}")
     if k == 1:
-        return tuple(lie_generator(sym) for sym in GENERATORS)
+        return tuple((sym, lie_generator(sym)) for sym in seed)
     reducer = SpanReducer()
-    selected: list[LieElement] = []
+    selected: list[tuple[BracketWord, LieElement]] = []
     for g in (DELBAR, DEL):
         g_elt = generator_element(g)
-        for h in lie_basis(k - 1):
+        for expr, h in _graded_basis(seed, k - 1):
             candidate = graded_commutator(g_elt, h.value)
             if candidate.is_zero():
                 continue
             if reducer.add(coords_in_A(candidate, k)):
-                selected.append(LieElement(candidate, k, _trusted=True))
+                selected.append(((g, expr), LieElement(candidate, k, _trusted=True)))
     return tuple(selected)
+
+
+def lie_basis(k: int) -> tuple[LieElement, ...]:
+    """Deterministic basis of the degree-k piece of g, grown from the four
+    generators."""
+    if k < 1:
+        raise InvalidDegree(f"lie_basis needs a positive degree, got {k}")
+    return tuple(b for _, b in _graded_basis(GENERATORS, k))
 
 
 def dim_g(k: int) -> int:
@@ -145,14 +152,6 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Graded commutator of two Lie elements, re-certified on construction."""
     value = graded_commutator(a.value, b.value)
     return LieElement(value, a.degree + b.degree)
-
-
-def lie_coordinates(value: AlgebraElement, k: int) -> list[Scalar] | None:
-    """Coordinates in lie_basis(k), or None if outside the span."""
-    from .linalg import solve_columns
-
-    columns = [coords_in_A(b.value, k) for b in lie_basis(k)]
-    return solve_columns(columns, [coords_in_A(value, k)])[0]
 
 
 # -- the subalgebra h generated by delbar, del -------------------------------
@@ -175,38 +174,17 @@ def bracket_word_value(expr: BracketWord) -> AlgebraElement:
     return graded_commutator(bracket_word_value(left), bracket_word_value(right))
 
 
-def bracket_word_text(expr: BracketWord) -> str:
-    if isinstance(expr, str):
-        return expr
-    left, right = expr
-    return f"[{bracket_word_text(left)},{bracket_word_text(right)}]"
-
-
-@lru_cache(maxsize=None)
 def h_basis(k: int) -> tuple[tuple[BracketWord, LieElement], ...]:
     """Basis of the degree-k piece of h, with defining bracket expressions.
 
     Unlike :func:`lie_basis`, every element is produced by a bracket word in
     delbar and del only, which is what the derivations D_mubar and D_mu need.
-    For k >= 2 the two constructions span the same space.
+    For k >= 2 the two constructions span the same space, but from degree 2
+    on their elements can differ by scalars.
     """
     if k < 1:
         raise InvalidDegree(f"h_basis needs a positive degree, got {k}")
-    if k == 1:
-        return tuple(
-            (sym, lie_generator(sym)) for sym in (DELBAR, DEL)
-        )
-    reducer = SpanReducer()
-    selected: list[tuple[BracketWord, LieElement]] = []
-    for g in (DELBAR, DEL):
-        g_elt = generator_element(g)
-        for expr, h in h_basis(k - 1):
-            candidate = graded_commutator(g_elt, h.value)
-            if candidate.is_zero():
-                continue
-            if reducer.add(coords_in_A(candidate, k)):
-                selected.append(((g, expr), LieElement(candidate, k, _trusted=True)))
-    return tuple(selected)
+    return _graded_basis((DELBAR, DEL), k)
 
 
 def dim_h(k: int) -> int:

@@ -1,11 +1,14 @@
-"""Dense exact linear algebra over Q(i).
+"""Exact linear algebra over Q(i) with one sparse elimination engine.
 
-Matrices are dense row-major lists of scalars.  Rank uses fraction-free
-Bareiss-style elimination (exact division by the previous pivot), and the
-reduced-echelon routines behind nullspaces, solving and span membership use
-ordinary Gauss-Jordan steps.  Inner loops skip zero entries, which is what
-keeps the larger adjoint matrices (a few hundred rows) fast without any
-sparse machinery.
+``ExactMatrix`` is a dense row-major container of scalars: it is what the
+callers build, multiply and inspect.  Every elimination goes through
+``SpanReducer``, an incremental reduced row-echelon form whose rows are dicts
+holding only their nonzero entries.  Each row has a leading 1 at its pivot
+(its first nonzero column) and a zero in every other row's pivot column.
+
+A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``
+and ``solve_columns``, thin readers of the engine, and the greedy selections
+made with ``SpanReducer.add`` do not depend on the order rows arrive in.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Iterable, Sequence
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 Vector = list[Scalar]
+Row = dict[int, Scalar]  # column -> nonzero entry
 
 
 class ExactMatrix:
@@ -120,93 +124,35 @@ class ExactMatrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"ExactMatrix[{self.nrows}x{self.ncols}]({body})"
 
-    def rank(self) -> int:
-        """Rank by fraction-free Bareiss elimination with row pivoting."""
-        work = [row[:] for row in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        prev = ONE
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if work[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r][c]
-            for i in range(r + 1, nrows):
-                head = work[i][c]
-                if not head:
-                    continue
-                row_i, row_r = work[i], work[r]
-                for j in range(c + 1, ncols):
-                    a, b = row_i[j], row_r[j]
-                    if a or b:
-                        row_i[j] = (pivot * a - head * b) / prev
-                    # both zero stays zero under the Bareiss update
-                row_i[c] = ZERO
-            prev = pivot
-            r += 1
-            if r == nrows:
-                break
-        return r
+    def _echelon(self) -> "SpanReducer":
+        reducer = SpanReducer()
+        for row in self.rows:
+            reducer._insert(_sparse(row))
+        return reducer
 
-    def rref(self) -> tuple[list[Vector], list[int]]:
-        """Gauss-Jordan reduced rows (leading ones) and their pivot columns."""
-        work = [row[:] for row in self.rows]
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if work[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            _normalize_row(work[r], c)
-            for i in range(self.nrows):
-                if i != r and work[i][c]:
-                    _row_submul(work[i], work[r], work[i][c], c)
-            pivots.append(c)
-            r += 1
-        return work[:r], pivots
+    def rank(self) -> int:
+        return self._echelon().rank
 
     def nullspace(self) -> list[Vector]:
-        """Deterministic kernel basis: one vector per free column, ascending."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        out: list[Vector] = []
+        """Deterministic kernel basis: one vector per free column, ascending.
+
+        Free column f gives 1 at f and -row[f] at each pivot row's pivot.
+        """
+        pivot_rows = self._echelon()._rows
+        kernel: dict[int, Vector] = {}
         for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [ZERO] * self.ncols
-            vec[free] = ONE
-            for row, pc in zip(reduced, pivots):
-                if row[free]:
-                    vec[pc] = -row[free]
-            out.append(vec)
-        return out
+            if free not in pivot_rows:
+                kernel[free] = [ZERO] * self.ncols
+                kernel[free][free] = ONE
+        for pivot, row in pivot_rows.items():
+            for j, x in row.items():
+                if j != pivot:
+                    kernel[j][pivot] = -x
+        return list(kernel.values())
 
 
-def _normalize_row(row: Vector, start: int) -> None:
-    inv = ONE / row[start]
-    row[start] = ONE
-    for j in range(start + 1, len(row)):
-        if row[j]:
-            row[j] = row[j] * inv
-
-
-def _row_submul(target: Vector, source: Vector, factor: Scalar, start: int) -> None:
-    target[start] = ZERO
-    for j in range(start + 1, len(source)):
-        s = source[j]
-        if s:
-            target[j] = target[j] - factor * s
+def _sparse(vec: Sequence[Scalar]) -> Row:
+    return {j: x for j, x in enumerate(vec) if x}
 
 
 def solve_columns(
@@ -217,60 +163,41 @@ def solve_columns(
     Returns, per right-hand side, the coordinate vector in terms of
     ``basis_columns`` or None when the column is outside their span.  Free
     basis columns (if the basis is dependent) get coordinate zero.
+
+    The rows of [basis | rhs] are reduced together.  Row operations keep the
+    relations between columns, so a right-hand side is in the basis span
+    exactly when no row pivoting outside the basis touches it, and then its
+    coordinates are its entries in the basis pivot rows.
     """
-    ncols = len(basis_columns)
     if not rhs_columns:
         return []
-    nrows = len(rhs_columns[0]) if rhs_columns else (len(basis_columns[0]) if basis_columns else 0)
-    width = ncols + len(rhs_columns)
-    work = [
-        [
-            (basis_columns[j][i] if j < ncols else rhs_columns[j - ncols][i])
-            for j in range(width)
-        ]
-        for i in range(nrows)
-    ]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        _normalize_row(work[r], c)
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                _row_submul(work[i], work[r], work[i][c], c)
-        pivots.append(c)
-        r += 1
+    ncols = len(basis_columns)
+    columns = list(basis_columns) + list(rhs_columns)
+    reducer = SpanReducer()
+    for i in range(len(rhs_columns[0])):
+        reducer._insert({j: col[i] for j, col in enumerate(columns) if col[i]})
+    rows = reducer._rows
+    outside = [row for pivot, row in rows.items() if pivot >= ncols]
     out: list[Vector | None] = []
-    for n in range(len(rhs_columns)):
-        col = ncols + n
-        consistent = all(not work[i][col] for i in range(r, nrows))
-        if not consistent:
+    for col in range(ncols, len(columns)):
+        if any(col in row for row in outside):
             out.append(None)
-            continue
-        coords = [ZERO] * ncols
-        for row_idx, pc in enumerate(pivots):
-            coords[pc] = work[row_idx][col]
-        out.append(coords)
+        else:
+            out.append([rows[p].get(col, ZERO) if p in rows else ZERO for p in range(ncols)])
     return out
 
 
 class SpanReducer:
-    """Incremental row-reduction for greedy independent selection.
+    """Incremental reduced row-echelon form of the vectors added so far.
 
-    Vectors are reduced against the pivot rows accumulated so far; a vector
-    with a nonzero residue is independent and (on ``add``) contributes a new
-    normalized pivot row.  Deterministic: pivots are leading indices.
+    Rows are dicts of nonzero entries keyed by column.  A vector is reduced
+    by subtracting its entry at each pivot column times that pivot row; a
+    nonzero residue is independent and (on ``add``) becomes a new row with a
+    leading 1, whose pivot column is then cleared from every older row.
     """
 
     def __init__(self, vectors: Iterable[Vector] = ()):
-        self._rows: list[tuple[int, Vector]] = []  # (pivot index, row), sorted
+        self._rows: dict[int, Row] = {}  # pivot column -> reduced row
         for vec in vectors:
             self.add(vec)
 
@@ -278,41 +205,51 @@ class SpanReducer:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: Sequence[Scalar]) -> Vector:
-        out = list(vec)
-        for pivot, row in self._rows:
-            head = out[pivot]
-            if head:
-                for j in range(pivot, len(out)):
-                    if row[j]:
-                        out[j] = out[j] - head * row[j]
-        return out
+    @staticmethod
+    def _clear(target: Row, source: Row, pivot: int) -> None:
+        """target -= target[pivot] * source, where source[pivot] == 1."""
+        factor = target.pop(pivot)
+        for j, x in source.items():
+            if j == pivot:
+                continue
+            y = target.get(j)
+            if y is None:
+                target[j] = -(factor * x)
+            else:
+                y = y - factor * x
+                if y:
+                    target[j] = y
+                else:
+                    del target[j]
+
+    def _reduce(self, row: Row) -> Row:
+        # pivot rows are zero at other pivots: clearing one keeps the rest
+        rows = self._rows
+        for pivot in [p for p in row if p in rows]:
+            self._clear(row, rows[pivot], pivot)
+        return row
+
+    def _insert(self, row: Row) -> bool:
+        residue = self._reduce(row)
+        if not residue:
+            return False
+        pivot = min(residue)
+        if residue[pivot] != ONE:
+            inv = ONE / residue[pivot]
+            residue = {j: x * inv for j, x in residue.items() if j != pivot}
+            residue[pivot] = ONE
+        for other in self._rows.values():
+            if pivot in other:
+                self._clear(other, residue, pivot)
+        self._rows[pivot] = residue
+        return True
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not any(self._reduce(vec))
+        return not self._reduce(_sparse(vec))
 
     def add(self, vec: Sequence[Scalar]) -> bool:
         """Insert ``vec`` if independent; returns True when it was added."""
-        residue = self._reduce(vec)
-        pivot = next((j for j, x in enumerate(residue) if x), None)
-        if pivot is None:
-            return False
-        inv = ONE / residue[pivot]
-        row = [x * inv if x else ZERO for x in residue]
-        row[pivot] = ONE
-        self._rows.append((pivot, row))
-        self._rows.sort(key=lambda pr: pr[0])
-        return True
-
-
-def select_independent(vectors: Sequence[Vector]) -> list[int]:
-    """Indices of a greedy maximal independent subset, in enumeration order."""
-    reducer = SpanReducer()
-    return [n for n, vec in enumerate(vectors) if reducer.add(vec)]
-
-
-def span_rank(vectors: Iterable[Vector]) -> int:
-    return SpanReducer(vectors).rank
+        return self._insert(_sparse(vec))
 
 
 def same_span(first: Sequence[Vector], second: Sequence[Vector]) -> bool:

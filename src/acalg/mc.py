@@ -176,13 +176,7 @@ def strata_nullity(s, t) -> int:
     this is dim ker(ad) restricted to degree 1 minus the rank of its image
     under the quotient projection.
     """
-    kernel = kernel_g1(d_st(s, t))
-    reducer = SpanReducer()
-    rank = 0
-    for vec in kernel:
-        if reducer.add(project_hol(vec).coords()):
-            rank += 1
-    return len(kernel) - rank
+    return quotient_nullity(d_st(s, t))[1]
 
 
 def quotient_nullity(a: LieElement) -> tuple[int, int]:

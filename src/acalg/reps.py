@@ -300,6 +300,11 @@ def rep_to_dict(rep: BigradedRep) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def rep_from_dict(data) -> BigradedRep:
     if not isinstance(data, dict):
         raise RepFormatError("representation file must hold a JSON object")
@@ -311,8 +316,8 @@ def rep_from_dict(data) -> BigradedRep:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("label"), str)
-            or not isinstance(entry.get("p"), int)
-            or not isinstance(entry.get("q"), int)
+            or not _is_int(entry.get("p"))
+            or not _is_int(entry.get("q"))
         ):
             raise RepFormatError(f"malformed vector entry: {entry!r}")
         vectors.append((entry["label"], entry["p"], entry["q"]))
@@ -327,7 +332,12 @@ def rep_from_dict(data) -> BigradedRep:
             raise RepFormatError(f"actions[{sym!r}] must be a list")
         triples = []
         for entry in entries:
-            if not isinstance(entry, dict) or not {"from", "to", "coeff"} <= set(entry):
+            if (
+                not isinstance(entry, dict)
+                or not {"from", "to", "coeff"} <= set(entry)
+                or not isinstance(entry["from"], str)
+                or not isinstance(entry["to"], str)
+            ):
                 raise RepFormatError(f"malformed action entry: {entry!r}")
             try:
                 coeff = scalar_from_text(str(entry["coeff"]))

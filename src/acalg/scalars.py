@@ -162,8 +162,10 @@ def _frac_text(f: Fraction) -> str:
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
+# the real part may not end inside a number or right before '*': otherwise
+# "12*i" would split into the real part 1 and the imaginary part 2*i
 _SCALAR_RE = re.compile(
-    rf"^(?P<re>{_RAT})?(?P<im>(?:(?P<imsign>[+-])?(?:(?P<imcoef>\d+(?:/\d+)?)\*)?i))?$"
+    rf"^(?P<re>{_RAT}(?![\d/*]))?(?P<im>(?:(?P<imsign>[+-])?(?:(?P<imcoef>\d+(?:/\d+)?)\*)?i))?$"
 )
 
 
@@ -173,15 +175,16 @@ def scalar_from_text(text: str) -> Scalar:
     m = _SCALAR_RE.match(s)
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ValueError(f"not a scalar literal: {text!r}")
-    re_part = Fraction(0)
-    if m.group("re") is not None:
-        re_part = Fraction(m.group("re"))
+    try:
+        re_part = Fraction(m.group("re") or 0)
+        coef = Fraction(m.group("imcoef") or 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
     im_part = Fraction(0)
     if m.group("im") is not None:
         # a sign is required between the real and imaginary parts
         if m.group("re") is not None and m.group("imsign") is None:
             raise ValueError(f"not a scalar literal: {text!r}")
-        coef = Fraction(m.group("imcoef")) if m.group("imcoef") else Fraction(1)
         if m.group("imsign") == "-":
             coef = -coef
         im_part = coef

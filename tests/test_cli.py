@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from acalg.cli import main
 from acalg.exprs import parse_element
 from acalg.linalg import same_span
@@ -146,6 +148,31 @@ def test_syntax_error_exit_code(capsys):
     assert err["type"] == "ExprSyntaxError"
     assert err["column"] == 5
 
+
+
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (["normal-form", "mu*1/0"], 4),
+        (["normal-form", "(1/0)*mu"], 2),
+        (["mc", "check", "--", "1/0", "0", "0", "0"], None),
+    ],
+)
+def test_zero_denominator_is_a_syntax_error(capsys, argv, column):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    if column is None:
+        assert err["type"] == "UsageError"
+    else:
+        assert err["type"] == "ExprSyntaxError"
+        assert err["column"] == column
+
+
+def test_multi_digit_imaginary_point(capsys):
+    code, out = run(capsys, "--format", "json", "mc", "check", "--", "0", "12*i", "0", "0")
+    assert code == 0
+    assert json.loads(out)["point"] == ["0", "12*i", "0", "0"]
 
 def test_usage_errors(capsys):
     code, _ = run(capsys, "dims", "--max", "20", "--carrier", "A")

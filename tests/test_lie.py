@@ -138,6 +138,13 @@ def test_h_and_g_spans_agree_above_degree_one():
         assert same_span(g_span, h_span), k
 
 
+
+def test_g_and_h_bases_differ_by_scalars_from_degree_two():
+    assert [str(b) for b in lie_basis(1)][1:3] == [str(b) for _, b in h_basis(1)]
+    assert str(lie_basis(2)[2]) == "-1*del.del"
+    assert str(h_basis(2)[2][1]) == "2*del.del"
+    assert h_basis(2)[2][0] == (DEL, DEL)
+
 def test_bracket_examples():
     mubar, delbar, del_, mu = (lie_generator(s) for s in GENERATORS)
     assert bracket(mubar, del_).value == -AlgebraElement.from_word((DELBAR, DELBAR))

@@ -17,6 +17,7 @@ from acalg.algebra import (
     graded_commutator,
     product,
 )
+from acalg.cli import main
 from acalg.errors import (
     IdealNotKilled,
     LabelClash,
@@ -300,6 +301,36 @@ def test_schema_rejects_malformed_files(tmp_path):
     with pytest.raises(RepFormatError):
         load_rep(path)
 
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # a label that is a list, not a string, used to leak a TypeError
+        {
+            "vectors": [{"label": "x", "p": 0, "q": 0}],
+            "actions": {"delbar": [{"from": ["x"], "to": "x", "coeff": "1"}]},
+        },
+        {
+            "vectors": [{"label": "x", "p": 0, "q": 0}],
+            "actions": {"delbar": [{"from": "x", "to": 7, "coeff": "1"}]},
+        },
+        # JSON booleans are not bidegrees
+        {"vectors": [{"label": "x", "p": True, "q": 0}]},
+        {"vectors": [{"label": "x", "p": 0, "q": False}]},
+        {
+            "vectors": [{"label": "x", "p": 0, "q": 0}],
+            "actions": {"delbar": [{"from": "x", "to": "x", "coeff": "1/0"}]},
+        },
+    ],
+)
+def test_schema_rejects_wrong_field_types(data, tmp_path, capsys):
+    with pytest.raises(RepFormatError):
+        rep_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["rep", "verify", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "RepFormatError"
 
 # -- interplay with the rescaling conjugation ------------------------------------------
 

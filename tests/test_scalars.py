@@ -83,6 +83,29 @@ def test_text_round_trip_random():
         assert scalar_from_text(str(a)) == a
 
 
+@pytest.mark.parametrize("text", ["12*i", "-12*i", "3/12*i", "0+12*i", "5-120/7*i"])
+def test_text_multi_digit_imaginary(text):
+    value = scalar_from_text(text)
+    assert value.im != 0
+    assert scalar_from_text(str(value)) == value
+
+
+def test_text_round_trip_multi_digit():
+    rng = random.Random(56)
+    for _ in range(300):
+        a = GaussianRational(
+            Fraction(rng.randint(-999, 999), rng.randint(1, 99)) * rng.randint(0, 1),
+            Fraction(rng.randint(-999, 999), rng.randint(1, 99)),
+        )
+        assert scalar_from_text(str(a)) == a
+
+
+@pytest.mark.parametrize("text", ["1/0", "1/0*i", "2+1/00*i", "-3/0"])
+def test_text_zero_denominator_is_value_error(text):
+    with pytest.raises(ValueError):
+        scalar_from_text(text)
+
+
 @pytest.mark.parametrize("bad", ["", "x", "1/2/3", "3 4", "1+2", "i*i", "1//2", "+-1"])
 def test_text_rejects_garbage(bad):
     with pytest.raises(ValueError):
