@@ -487,7 +487,11 @@ def basis_A(k: int) -> tuple[NormalMonomial, ...]:
 
 
 def dim_A(k: int) -> int:
-    return len(basis_A(k))
+    """len(basis_A(k)) without building it: the coefficient of q^k in
+    (1+q)^2/(1-2q), i.e. 1, 4, then 9 * 2^(k-2)."""
+    if k < 0:
+        raise InvalidDegree(f"degree must be nonnegative, got {k}")
+    return (1, 4)[k] if k < 2 else 9 * 2 ** (k - 2)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ node-by-node exactness of the induced long sequence on cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -39,12 +39,15 @@ from .algebra import (
 )
 from .errors import InvalidDegree, NotADifferential, NotWellDefined
 from .lie import LieElement, h_basis, lie_basis
-from .linalg import ExactMatrix, SpanReducer, Vector, solve_columns
-from .scalars import ONE, ZERO, Scalar
+from .linalg import ExactMatrix, Row, SpanReducer, Vector, solve_columns, sparse_row
+from .scalars import ONE, Scalar
 
 
 class Carrier:
-    """A graded coefficient space with a deterministic basis per degree."""
+    """A graded coefficient space with a deterministic basis per degree.
+
+    Coordinates are rows: dicts from a basis index to a nonzero coefficient.
+    """
 
     name = "?"
 
@@ -54,7 +57,7 @@ class Carrier:
     def dim(self, k: int) -> int:
         return len(self.basis(k))
 
-    def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Vector]:
+    def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
         """Coordinates of degree-k elements in basis(k); raises if outside."""
         basis = self.basis(k)
         columns = [coords_in_A(b, k) for b in basis]
@@ -65,13 +68,13 @@ class Carrier:
                 raise NotWellDefined(
                     f"element is outside carrier {self.name} at degree {k}: {elements[n]}"
                 )
-        return solved
+        return [sparse_row(coords) for coords in solved]
 
-    def element(self, coords: Sequence[Scalar], k: int) -> AlgebraElement:
+    def element(self, coords: Row, k: int) -> AlgebraElement:
+        basis = self.basis(k)
         out = AlgebraElement.zero()
-        for c, b in zip(coords, self.basis(k)):
-            if c:
-                out = out + b.scale(c)
+        for j, c in coords.items():
+            out = out + basis[j].scale(c)
         return out
 
 
@@ -93,6 +96,26 @@ class _SubalgebraCarrier(Carrier):
         return tuple(b.value for _, b in h_basis(k))
 
 
+@dataclass(frozen=True)
+class _Words:
+    """B_k: its words as monomials, their positions, and the basis elements."""
+
+    monomials: tuple[NormalMonomial, ...]
+    index: dict[NormalMonomial, int]
+    basis: tuple[AlgebraElement, ...]
+
+
+# B_k has 2^k words: far fewer than 32 degrees can ever be built
+@lru_cache(maxsize=32)
+def _words(k: int) -> _Words:
+    monomials = tuple(NormalMonomial(word) for word in words_of_length(k))
+    return _Words(
+        monomials,
+        {mono: n for n, mono in enumerate(monomials)},
+        tuple(AlgebraElement({mono: ONE}) for mono in monomials),
+    )
+
+
 class _WordCarrier(Carrier):
     """B: all words in delbar, del; degree 0 is spanned by the unit."""
 
@@ -101,23 +124,28 @@ class _WordCarrier(Carrier):
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         if k < 0:
             return ()
-        return tuple(
-            AlgebraElement({NormalMonomial(word): ONE})
-            for word in words_of_length(k)
-        )
+        return _words(k).basis
 
-    def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Vector]:
-        index = {word: n for n, word in enumerate(words_of_length(k))}
-        out: list[Vector] = []
+    def dim(self, k: int) -> int:
+        return 2**k if k >= 0 else 0
+
+    def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
+        index = _words(k).index
+        out: list[Row] = []
         for e in elements:
-            restrict_to_B(e)
-            coords = [ZERO] * len(index)
+            row: Row = {}
             for mono, coeff in e.terms():
-                if mono.degree != k:
+                n = index.get(mono)
+                if n is None:
+                    restrict_to_B(e)
                     raise NotWellDefined(f"degree {mono.degree} term in B_{k}: {mono}")
-                coords[index[mono.head]] = coeff
-            out.append(coords)
+                row[n] = coeff
+            out.append(row)
         return out
+
+    def element(self, coords: Row, k: int) -> AlgebraElement:
+        monomials = _words(k).monomials
+        return AlgebraElement({monomials[j]: c for j, c in coords.items()})
 
 
 CARRIERS = {"g": _LieCarrier(), "h": _SubalgebraCarrier(), "B": _WordCarrier()}
@@ -148,42 +176,58 @@ def _as_degree_one(a) -> AlgebraElement:
     return value
 
 
+def _ad_columns(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
+    """Coordinates of [value, b] in degree k + 1, for each b in basis(k)."""
+    images = [graded_commutator(value, x) for x in carrier.basis(k)]
+    return carrier.coordinates(images, k + 1) if images else []
+
+
 def ad_matrix(a, k: int, carrier="g") -> GradedMap:
     """Matrix of x -> [a, x] from carrier degree k to degree k + 1."""
     carrier = get_carrier(carrier)
     value = _as_degree_one(a)
     source = carrier.basis(k)
     target = carrier.basis(k + 1)
-    images = [graded_commutator(value, x) for x in source]
-    if carrier.name == "B":
-        for img in images:
-            restrict_to_B(img)
-    columns = carrier.coordinates(images, k + 1) if source else []
-    matrix = ExactMatrix.from_columns(columns, nrows=len(target))
-    if not source:
-        matrix = ExactMatrix.zeros(len(target), 0)
+    matrix = ExactMatrix.from_columns(_ad_columns(value, k, carrier), nrows=len(target))
     return GradedMap(tuple(source), tuple(target), matrix)
 
 
 @dataclass
 class CohomologyData:
-    """Everything about H^k(carrier, ad_a) needed to build induced maps."""
+    """Everything about H^k(carrier, ad_a) needed to build induced maps.
+
+    Vectors are rows of coordinates in ``carrier.basis(degree)``.
+    """
 
     degree: int
     dim: int
     representatives: tuple[AlgebraElement, ...]
-    rep_coords: list[Vector]
-    kernel: list[Vector]
-    image: list[Vector]
+    rep_coords: list[Row]
+    kernel: list[Row]
+    image: list[Row]
     carrier: Carrier
 
-    def class_coordinates(self, vec: Vector) -> Vector | None:
+    @cached_property
+    def image_span(self) -> SpanReducer:
+        return SpanReducer(self.image)
+
+    @cached_property
+    def kernel_span(self) -> SpanReducer:
+        # the representatives complete the image to the kernel
+        span = self.image_span.copy()
+        for vec in self.rep_coords:
+            span.add(vec)
+        return span
+
+    def classes(self, vectors: Sequence[Row]) -> list[Vector | None]:
+        """Express kernel vectors as rep-combinations modulo the image, all
+        in one elimination; None for a vector outside the kernel."""
+        solved = solve_columns(self.rep_coords + self.image, vectors)
+        return [None if s is None else s[: self.dim] for s in solved]
+
+    def class_coordinates(self, vec: Row) -> Vector | None:
         """Express a kernel vector as rep-combination modulo the image."""
-        columns = self.rep_coords + self.image
-        solution = solve_columns(columns, [vec])[0]
-        if solution is None:
-            return None
-        return solution[: len(self.rep_coords)]
+        return self.classes([vec])[0]
 
 
 def _check_differential(value: AlgebraElement) -> None:
@@ -200,24 +244,18 @@ def cohomology_data(a, k: int, carrier="g") -> CohomologyData:
     return _cohomology_data_raw(value, k, carrier)
 
 
-@lru_cache(maxsize=None)
+# keyed by any differential, so bounded: les_check(10) needs 11 entries and
+# each `cohomology --diff ... --max k` request at most k + 1
+@lru_cache(maxsize=1024)
 def _cohomology_data_cached(value: AlgebraElement, k: int, carrier_name: str) -> CohomologyData:
     return _cohomology_data_raw(value, k, CARRIERS[carrier_name])
 
 
 def _cohomology_data_raw(value: AlgebraElement, k: int, carrier: Carrier) -> CohomologyData:
-    outgoing = ad_matrix(value, k, carrier).matrix
-    kernel = outgoing.nullspace()
-    if carrier.dim(k - 1):
-        incoming = ad_matrix(value, k - 1, carrier).matrix
-        image = [incoming.column(j) for j in range(incoming.ncols)]
-    else:
-        image = []
+    kernel = [sparse_row(vec) for vec in ad_matrix(value, k, carrier).matrix.nullspace()]
+    image = _ad_columns(value, k - 1, carrier)
     reducer = SpanReducer(image)
-    rep_coords: list[Vector] = []
-    for vec in kernel:
-        if reducer.add(vec):
-            rep_coords.append(vec)
+    rep_coords = [vec for vec in kernel if reducer.add(vec)]
     reps = tuple(carrier.element(vec, k) for vec in rep_coords)
     return CohomologyData(
         degree=k,
@@ -250,34 +288,24 @@ def induced_map(
     """Matrix of the map induced on cohomology classes by ``raw_map``.
 
     Verifies well-definedness first: the raw map must send kernel into
-    kernel and image into image (exactly, at the span level).
+    kernel and image into image (exactly, at the span level).  The target
+    kernel is spanned by its representatives and its image, so then every
+    representative's image has a class.
     """
-    carrier = source.carrier
-    kernel_span = SpanReducer(target.kernel)
-    image_span = SpanReducer(target.image)
-    for vec in source.kernel:
-        mapped = raw_map(carrier.element(vec, source.degree))
-        coords = target.carrier.coordinates([mapped], target.degree)[0]
-        if not kernel_span.contains(coords):
+
+    def mapped(vectors: list[Row]) -> list[Row]:
+        elements = [raw_map(source.carrier.element(vec, source.degree)) for vec in vectors]
+        return target.carrier.coordinates(elements, target.degree)
+
+    for vectors, span, what in (
+        (source.kernel, target.kernel_span, "kernels"),
+        (source.image, target.image_span, "images"),
+    ):
+        if not all(span.contains(vec) for vec in mapped(vectors)):
             raise NotWellDefined(
-                f"induced map does not preserve kernels at degree {source.degree}"
+                f"induced map does not preserve {what} at degree {source.degree}"
             )
-    for vec in source.image:
-        mapped = raw_map(carrier.element(vec, source.degree))
-        coords = target.carrier.coordinates([mapped], target.degree)[0]
-        if not image_span.contains(coords):
-            raise NotWellDefined(
-                f"induced map does not preserve images at degree {source.degree}"
-            )
-    columns: list[Vector] = []
-    for vec in source.rep_coords:
-        mapped = raw_map(carrier.element(vec, source.degree))
-        coords = target.carrier.coordinates([mapped], target.degree)[0]
-        cls = target.class_coordinates(coords)
-        if cls is None:
-            raise NotWellDefined("image of a cocycle is not a cocycle")
-        columns.append(cls)
-    return ExactMatrix.from_columns(columns, nrows=target.dim) if columns else ExactMatrix.zeros(target.dim, 0)
+    return ExactMatrix.from_columns(target.classes(mapped(source.rep_coords)), nrows=target.dim)
 
 
 def frolicher_E1(carrier, k_max: int) -> dict[int, int]:

@@ -34,6 +34,10 @@ _UNICODE_ALIASES = {
 
 _SYMBOLS = "+-*.[](),"
 
+#: deepest nesting of parentheses and brackets the parser accepts; each level
+#: takes three Python frames, so this keeps far below the recursion limit
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Token:
@@ -150,6 +154,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -211,18 +216,23 @@ class _Parser:
             if tok.text in GENERATORS:
                 return Gen(tok.text)
             raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
-        if tok.kind == "[":
+        if tok.kind in ("[", "("):
             self.advance()
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            return Bracket(left, right)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.expr()
-            self.expect(")")
-            return inner
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.column
+                )
+            if tok.kind == "[":
+                left = self.expr()
+                self.expect(",")
+                node: Expr = Bracket(left, self.expr())
+                self.expect("]")
+            else:
+                node = self.expr()
+                self.expect(")")
+            self.depth -= 1
+            return node
         what = tok.text or "end of input"
         raise ExprSyntaxError(f"expected a factor, found {what!r}", tok.line, tok.column)
 
@@ -233,19 +243,33 @@ def parse(text: str) -> Expr:
 
 
 def elaborate(expr: Expr) -> AlgebraElement:
-    """Evaluate an AST to its normal-form element of A."""
+    """Evaluate an AST to its normal-form element of A.
+
+    A chain such as a + b - c * d is a left-nested tree as deep as it is
+    long, so its left spine is walked in a loop, not by recursion; the
+    recursion goes only as deep as the parser's nesting limit.
+    """
+    if isinstance(expr, (Add, Sub, Mul)):
+        spine = []
+        while isinstance(expr, (Add, Sub, Mul)):
+            spine.append(expr)
+            expr = expr.left
+        value = elaborate(expr)
+        for node in reversed(spine):
+            right = elaborate(node.right)
+            if isinstance(node, Add):
+                value = value + right
+            elif isinstance(node, Sub):
+                value = value - right
+            else:
+                value = value * right
+        return value
     if isinstance(expr, ScalarLit):
         return AlgebraElement.one().scale(expr.value)
     if isinstance(expr, Gen):
         return generator_element(expr.symbol)
     if isinstance(expr, Neg):
         return -elaborate(expr.inner)
-    if isinstance(expr, Add):
-        return elaborate(expr.left) + elaborate(expr.right)
-    if isinstance(expr, Sub):
-        return elaborate(expr.left) - elaborate(expr.right)
-    if isinstance(expr, Mul):
-        return elaborate(expr.left) * elaborate(expr.right)
     if isinstance(expr, Bracket):
         return graded_commutator(elaborate(expr.left), elaborate(expr.right))
     raise TypeError(f"not an expression node: {expr!r}")

@@ -1,10 +1,14 @@
 """Exact linear algebra over Q(i) with one sparse elimination engine.
 
-``ExactMatrix`` is a dense row-major container of scalars: it is what the
-callers build, multiply and inspect.  Every elimination goes through
-``SpanReducer``, an incremental reduced row-echelon form whose rows are dicts
-holding only their nonzero entries.  Each row has a leading 1 at its pivot
-(its first nonzero column) and a zero in every other row's pivot column.
+Vectors come in two forms: a dense list of scalars, or a row, a dict that
+maps an index to a nonzero entry and holds nothing else.  Every function
+here accepts either; ``sparse_row`` turns both into a fresh row.
+
+``ExactMatrix`` stores its entries once, as rows; ``rows`` is a dense copy
+for callers that index or print entries.  Every elimination goes through
+``SpanReducer``, an incremental reduced row-echelon form over rows.  Each
+row has a leading 1 at its pivot (its first nonzero column) and a zero in
+every other row's pivot column.
 
 A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``
 and ``solve_columns``, thin readers of the engine, and the greedy selections
@@ -18,13 +22,24 @@ from typing import Iterable, Sequence
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
 Vector = list[Scalar]
-Row = dict[int, Scalar]  # column -> nonzero entry
+Row = dict[int, Scalar]  # index -> nonzero entry
+
+
+def sparse_row(vec: Sequence[Scalar] | Row) -> Row:
+    """The nonzero entries of ``vec`` as a new row the caller may change.
+
+    A row is copied as it is, without testing its entries; a dense vector
+    has each entry tested once.
+    """
+    if isinstance(vec, dict):
+        return dict(vec)
+    return {j: x for j, x in enumerate(vec) if x}
 
 
 class ExactMatrix:
-    """An immutable-by-convention dense matrix of scalars."""
+    """An immutable-by-convention matrix of scalars, stored as rows."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]], ncols: int | None = None):
         data = [[as_scalar(x) for x in row] for row in rows]
@@ -34,74 +49,96 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         elif ncols is None:
             ncols = 0
-        self.rows = data
+        self._rows = [sparse_row(row) for row in data]
         self.nrows = len(data)
         self.ncols = ncols
 
     @classmethod
+    def _of(cls, rows: list[Row], ncols: int) -> "ExactMatrix":
+        """A matrix owning ``rows``, which hold nonzero entries only."""
+        matrix = cls.__new__(cls)
+        matrix._rows = rows
+        matrix.nrows = len(rows)
+        matrix.ncols = ncols
+        return matrix
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        rows = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = ONE
-        return cls(rows, ncols=n)
+        return cls._of([{i: ONE} for i in range(n)], n)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Vector], nrows: int | None = None) -> "ExactMatrix":
-        if not columns:
-            return cls.zeros(nrows or 0, 0)
-        nrows = len(columns[0])
-        rows = [[col[i] for col in columns] for i in range(nrows)]
-        return cls(rows, ncols=len(columns))
+    def from_columns(
+        cls, columns: Sequence[Vector | Row], nrows: int | None = None
+    ) -> "ExactMatrix":
+        """The matrix with these columns; ``nrows`` is needed when the
+        columns are rows (dicts), whose length is not recorded."""
+        if nrows is None:
+            nrows = len(columns[0]) if columns else 0
+        rows: list[Row] = [{} for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for i, x in sparse_row(col).items():
+                rows[i][j] = x
+        return cls._of(rows, len(columns))
+
+    @property
+    def rows(self) -> list[Vector]:
+        """A dense copy of the entries, row by row."""
+        return [[row.get(j, ZERO) for j in range(self.ncols)] for row in self._rows]
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
+        return self._rows[i].get(j, ZERO)
 
     def column(self, j: int) -> Vector:
-        return [row[j] for row in self.rows]
+        return [row.get(j, ZERO) for row in self._rows]
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_columns(self.rows if self.nrows else [], nrows=self.ncols)
+        return ExactMatrix.from_columns(self._rows, nrows=self.ncols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out = [[ZERO] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                other_row = other.rows[k]
-                for j, b in enumerate(other_row):
-                    if b:
-                        acc[j] = acc[j] + a * b
-        return ExactMatrix(out, ncols=other.ncols)
+        out: list[Row] = []
+        for row in self._rows:
+            acc: Row = {}
+            for k, a in row.items():
+                for j, b in other._rows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return ExactMatrix._of(out, other.ncols)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        out: list[Row] = []
+        for r1, r2 in zip(self._rows, other._rows):
+            acc = dict(r1)
+            for j, x in r2.items():
+                acc[j] = acc[j] + x if j in acc else x
+            out.append({j: x for j, x in acc.items() if x})
+        return ExactMatrix._of(out, self.ncols)
 
     def scale(self, coeff) -> "ExactMatrix":
         coeff = as_scalar(coeff)
-        return ExactMatrix([[x * coeff for x in row] for row in self.rows], ncols=self.ncols)
+        if not coeff:
+            return ExactMatrix.zeros(self.nrows, self.ncols)
+        return ExactMatrix._of(
+            [{j: x * coeff for j, x in row.items()} for row in self._rows], self.ncols
+        )
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
         out = [ZERO] * self.nrows
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self._rows):
             acc = ZERO
-            for a, x in zip(row, vec):
-                if a and x:
+            for j, a in row.items():
+                x = vec[j]
+                if x:
                     acc = acc + a * x
             out[i] = acc
         return out
@@ -111,13 +148,13 @@ class ExactMatrix:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ExactMatrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __repr__(self) -> str:
@@ -126,8 +163,8 @@ class ExactMatrix:
 
     def _echelon(self) -> "SpanReducer":
         reducer = SpanReducer()
-        for row in self.rows:
-            reducer._insert(_sparse(row))
+        for row in self._rows:
+            reducer._insert(dict(row))
         return reducer
 
     def rank(self) -> int:
@@ -151,12 +188,8 @@ class ExactMatrix:
         return list(kernel.values())
 
 
-def _sparse(vec: Sequence[Scalar]) -> Row:
-    return {j: x for j, x in enumerate(vec) if x}
-
-
 def solve_columns(
-    basis_columns: Sequence[Vector], rhs_columns: Sequence[Vector]
+    basis_columns: Sequence[Vector | Row], rhs_columns: Sequence[Vector | Row]
 ) -> list[Vector | None]:
     """Solve basis * x = rhs for every rhs column in one elimination pass.
 
@@ -173,9 +206,13 @@ def solve_columns(
         return []
     ncols = len(basis_columns)
     columns = list(basis_columns) + list(rhs_columns)
+    by_row: dict[int, Row] = {}
+    for j, col in enumerate(columns):
+        for i, x in sparse_row(col).items():
+            by_row.setdefault(i, {})[j] = x
     reducer = SpanReducer()
-    for i in range(len(rhs_columns[0])):
-        reducer._insert({j: col[i] for j, col in enumerate(columns) if col[i]})
+    for row in by_row.values():
+        reducer._insert(row)
     rows = reducer._rows
     outside = [row for pivot, row in rows.items() if pivot >= ncols]
     out: list[Vector | None] = []
@@ -196,7 +233,7 @@ class SpanReducer:
     leading 1, whose pivot column is then cleared from every older row.
     """
 
-    def __init__(self, vectors: Iterable[Vector] = ()):
+    def __init__(self, vectors: Iterable[Vector | Row] = ()):
         self._rows: dict[int, Row] = {}  # pivot column -> reduced row
         for vec in vectors:
             self.add(vec)
@@ -204,6 +241,12 @@ class SpanReducer:
     @property
     def rank(self) -> int:
         return len(self._rows)
+
+    def copy(self) -> "SpanReducer":
+        """An independent reducer holding the same span."""
+        out = SpanReducer()
+        out._rows = {pivot: dict(row) for pivot, row in self._rows.items()}
+        return out
 
     @staticmethod
     def _clear(target: Row, source: Row, pivot: int) -> None:
@@ -244,15 +287,15 @@ class SpanReducer:
         self._rows[pivot] = residue
         return True
 
-    def contains(self, vec: Sequence[Scalar]) -> bool:
-        return not self._reduce(_sparse(vec))
+    def contains(self, vec: Vector | Row) -> bool:
+        return not self._reduce(sparse_row(vec))
 
-    def add(self, vec: Sequence[Scalar]) -> bool:
+    def add(self, vec: Vector | Row) -> bool:
         """Insert ``vec`` if independent; returns True when it was added."""
-        return self._insert(_sparse(vec))
+        return self._insert(sparse_row(vec))
 
 
-def same_span(first: Sequence[Vector], second: Sequence[Vector]) -> bool:
+def same_span(first: Sequence[Vector | Row], second: Sequence[Vector | Row]) -> bool:
     a = SpanReducer(first)
     b = SpanReducer(second)
     if a.rank != b.rank:

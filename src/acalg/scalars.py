@@ -122,7 +122,7 @@ class GaussianRational:
     # -- predicates & display ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __bool__(self) -> bool:
         return not self.is_zero()

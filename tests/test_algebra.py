@@ -244,9 +244,15 @@ def test_dims_match_series_through_12():
     assert series == [1, 4, 9, 18, 36, 72, 144, 288, 576, 1152, 2304, 4608, 9216]
 
 
+def test_dim_A_closed_form_counts_the_basis():
+    assert [dim_A(k) for k in range(13)] == [len(basis_A(k)) for k in range(13)]
+
+
 def test_basis_A_rejects_negative_degree():
     with pytest.raises(InvalidDegree):
         basis_A(-1)
+    with pytest.raises(InvalidDegree):
+        dim_A(-1)
 
 
 def test_normal_monomial_validation():

@@ -174,6 +174,27 @@ def test_multi_digit_imaginary_point(capsys):
     assert code == 0
     assert json.loads(out)["point"] == ["0", "12*i", "0", "0"]
 
+@pytest.mark.parametrize("carrier, dim", [("A", 9 * 2**28), ("B", 2**30)])
+def test_dims_at_degree_30_are_counted_not_enumerated(capsys, carrier, dim):
+    code, out = run(capsys, "--max-degree", "30", "--format", "json", "dims", "--max", "30", "--carrier", carrier)
+    assert code == 0
+    assert json.loads(out)["dims"][-1] == {"degree": 30, "dim": dim}
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    code, out = run(capsys, "normal-form", "(" * 2000 + "mu" + ")" * 2000)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ExprSyntaxError"
+    assert "nesting" in err["message"] and err["line"] == 1
+
+
+def test_long_sum_is_folded_without_recursion(capsys):
+    code, out = run(capsys, "normal-form", "+".join(["del"] * 3000))
+    assert code == 0
+    assert out.strip() == "3000*del"
+
+
 def test_usage_errors(capsys):
     code, _ = run(capsys, "dims", "--max", "20", "--carrier", "A")
     assert code == 2  # beyond the default degree cap

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from acalg.algebra import (
@@ -9,9 +12,13 @@ from acalg.algebra import (
     generator_element,
     graded_commutator,
     product,
+    words_of_length,
 )
 from acalg.cohomology import (
     Carrier,
+    _cohomology_data_cached,
+    _empty_data,
+    _words,
     ad_matrix,
     cohomology,
     cohomology_data,
@@ -23,9 +30,9 @@ from acalg.cohomology import (
     les_check,
     split_B,
 )
-from acalg.errors import InvalidDegree, NotADifferential
+from acalg.errors import InvalidDegree, NotADifferential, NotWellDefined
 from acalg.lie import d_lie, lie_generator
-from acalg.linalg import SpanReducer, same_span
+from acalg.linalg import ExactMatrix, SpanReducer, same_span
 from acalg.mc import d_st, g1_coordinates, g1_element
 
 def gen(sym):
@@ -308,3 +315,89 @@ def test_E1_on_zero_carrier():
 def test_get_carrier_rejects_unknown():
     with pytest.raises(ValueError):
         get_carrier("nope")
+
+
+def test_B_dim_is_closed_form():
+    carrier = get_carrier("B")
+    assert carrier.dim(-1) == 0
+    for k in range(13):
+        assert carrier.dim(k) == sum(1 for _ in words_of_length(k)) == 2**k
+
+
+def test_cohomology_caches_are_bounded():
+    assert _words.cache_info().maxsize is not None
+    maxsize = _cohomology_data_cached.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, maxsize + 9):
+        cohomology_data(d_st(Fraction(n, n + 1), 1), 1, "g")
+        assert _cohomology_data_cached.cache_info().currsize <= maxsize
+
+
+# -- induced maps ---------------------------------------------------------------
+
+
+def reference_induced_map(source, target, raw_map):
+    """induced_map as it was before it mapped each family in one batch: every
+    vector is mapped, converted and checked on its own, against spans built
+    afresh.  Kept as the reference the batched version must reproduce."""
+    kernel_span = SpanReducer(target.kernel)
+    image_span = SpanReducer(target.image)
+
+    def coordinates(vec):
+        mapped = raw_map(source.carrier.element(vec, source.degree))
+        return target.carrier.coordinates([mapped], target.degree)[0]
+
+    for vec in source.kernel:
+        if not kernel_span.contains(coordinates(vec)):
+            raise NotWellDefined(f"induced map does not preserve kernels at degree {source.degree}")
+    for vec in source.image:
+        if not image_span.contains(coordinates(vec)):
+            raise NotWellDefined(f"induced map does not preserve images at degree {source.degree}")
+    columns = []
+    for vec in source.rep_coords:
+        cls = target.class_coordinates(coordinates(vec))
+        if cls is None:
+            raise NotWellDefined("image of a cocycle is not a cocycle")
+        columns.append(cls)
+    return ExactMatrix.from_columns(columns, nrows=target.dim) if columns else ExactMatrix.zeros(target.dim, 0)
+
+
+def test_induced_maps_match_the_per_vector_reference():
+    mubar = lie_generator(MUBAR)
+    delbar = gen(DELBAR)
+    # every up and down map of les_check through degree 7
+    data = {k: cohomology_data(mubar, k, "B") for k in range(0, 8)}
+    cases = [(data[j], data[j + 1], lambda x: product(delbar, x)) for j in range(0, 7)]
+    cases += [(data[j], data[j - 1], lambda x, j=j: delta_map(j, x)) for j in range(1, 8)]
+    # every ad_delbar map of frolicher_E1 through degree 5
+    for name in ("g", "h", "B"):
+        carrier = get_carrier(name)
+        k_min = 0 if name == "B" else 1
+        pages = {
+            k: cohomology_data(mubar, k, carrier) if carrier.dim(k) else _empty_data(k, carrier)
+            for k in range(k_min - 1, 7)
+        }
+        raw = lambda x: graded_commutator(delbar, x)
+        cases += [(pages[k], pages[k + 1], raw) for k in range(k_min - 1, 6)]
+    for source, target, raw_map in cases:
+        want = reference_induced_map(source, target, raw_map)
+        assert induced_map(source, target, raw_map) == want, (source.carrier.name, source.degree, target.degree)
+
+
+@pytest.mark.parametrize("k", range(0, 5))
+def test_induced_map_rejects_a_map_that_breaks_kernels(k):
+    mubar = lie_generator(MUBAR)
+    source, target = cohomology_data(mubar, k, "B"), cohomology_data(mubar, k + 1, "B")
+    with pytest.raises(NotWellDefined, match="does not preserve kernels"):
+        induced_map(source, target, lambda x: product(gen(DEL), x))
+
+
+def test_induced_map_rejects_a_target_missing_images():
+    mubar = lie_generator(MUBAR)
+    left_delbar = lambda x: product(gen(DELBAR), x)
+    source, target = cohomology_data(mubar, 3, "B"), cohomology_data(mubar, 4, "B")
+    assert induced_map(source, target, left_delbar).shape == (1, 1)
+    # the same kernel, but every kernel vector a representative: no image
+    no_image = replace(target, dim=len(target.kernel), rep_coords=target.kernel, image=[])
+    with pytest.raises(NotWellDefined, match="does not preserve images at degree 3"):
+        induced_map(source, no_image, left_delbar)

@@ -13,7 +13,7 @@ from acalg.algebra import (
     graded_commutator,
 )
 from acalg.errors import ExprSyntaxError, NonHomogeneousOperand
-from acalg.exprs import parse, parse_element, render
+from acalg.exprs import MAX_DEPTH, parse, parse_element, render
 from acalg.scalars import GaussianRational
 
 
@@ -104,3 +104,18 @@ def test_nested_brackets_elaborate():
     expected = graded_commutator(generator_element(MUBAR), inner)
     assert parse_element("[mubar,[del,delbar]]") == expected
     assert expected.is_zero()
+
+
+def test_nesting_limit():
+    mu = generator_element("mu")
+    assert parse_element("(" * MAX_DEPTH + "mu" + ")" * MAX_DEPTH) == mu
+    assert isinstance(parse_element("[" * MAX_DEPTH + "del" + ", mu]" * MAX_DEPTH), AlgebraElement)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("1 + " + "(" * (MAX_DEPTH + 1) + "mu" + ")" * (MAX_DEPTH + 1))
+    assert (info.value.line, info.value.column) == (1, 5 + MAX_DEPTH)
+
+
+def test_long_chains_elaborate():
+    del_ = generator_element(DEL)
+    assert parse_element("-".join(["del"] * 2999)) == del_.scale(-2997)
+    assert parse_element(".".join(["del"] * 1500)) == AlgebraElement.from_word((DEL,) * 1500)

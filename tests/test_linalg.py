@@ -226,3 +226,56 @@ def test_random_gaussian_matrices_agree_with_sympy():
     assert any(x.im for m in matrices for row in m.rows for x in row)
     for matrix in matrices:
         check_against_sympy(matrix, rng)
+
+
+# -- dict rows and dense vectors ------------------------------------------------
+
+
+def as_dicts(columns):
+    return [{i: x for i, x in enumerate(col) if x} for col in columns]
+
+
+def assert_dict_columns_agree(matrix: ExactMatrix):
+    dense = ExactMatrix.from_columns(matrix.columns(), nrows=matrix.nrows)
+    sparse = ExactMatrix.from_columns(as_dicts(matrix.columns()), nrows=matrix.nrows)
+    assert sparse == dense
+    assert sparse.rows == dense.rows == matrix.rows
+    assert sparse.rank() == dense.rank()
+    assert sparse.nullspace() == dense.nullspace()
+
+
+# ad d on B_7 alone takes about 7 s; the sympy test above covers d
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("mubar", "mu") for k in range(0, 8)])
+def test_dict_columns_build_the_same_B_ad_matrix(name, k):
+    assert_dict_columns_agree(ad_matrix(DIFFERENTIALS[name](), k, "B").matrix)
+
+
+def test_dict_columns_build_the_same_random_matrix():
+    rng = random.Random(2208)
+    for _ in range(40):
+        assert_dict_columns_agree(random_gaussian_matrix(rng))
+    rng = random.Random(3)
+    for _ in range(40):
+        assert_dict_columns_agree(rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
+
+
+def test_dict_rows_and_dense_vectors_give_the_same_answers():
+    rng = random.Random(11)
+    for _ in range(30):
+        matrix = random_gaussian_matrix(rng)
+        dense = matrix.columns()
+        sparse = as_dicts(dense)
+        copies = [dict(row) for row in sparse]
+        probes = right_hand_sides(matrix, rng)
+        sparse_probes = as_dicts(probes)
+        probe_copies = [dict(row) for row in sparse_probes]
+        from_dense, from_sparse = SpanReducer(), SpanReducer()
+        assert [from_dense.add(v) for v in dense] == [from_sparse.add(v) for v in sparse]
+        assert from_dense._rows == from_sparse._rows
+        assert [from_dense.contains(v) for v in probes] == [
+            from_sparse.contains(v) for v in sparse_probes
+        ]
+        assert solve_columns(dense, probes) == solve_columns(sparse, sparse_probes)
+        assert solve_columns(sparse, probes) == solve_columns(dense, sparse_probes)
+        # the callers' dicts are left as they were
+        assert sparse == copies and sparse_probes == probe_copies

@@ -117,3 +117,13 @@ def test_as_scalar_coercion():
     assert as_scalar(Fraction(1, 2)) == GaussianRational(Fraction(1, 2))
     with pytest.raises(TypeError):
         as_scalar(1.5)
+
+
+def test_truth_goes_through_is_zero(monkeypatch):
+    # the benchmark counts zero tests by wrapping is_zero, so bool() must call it
+    calls = []
+    original = GaussianRational.is_zero
+    monkeypatch.setattr(GaussianRational, "is_zero", lambda x: calls.append(x) or original(x))
+    values = [GaussianRational(0), GaussianRational(0, 1), GaussianRational(Fraction(-1, 2)), I]
+    assert [bool(x) for x in values] == [False, True, True, True]
+    assert calls == values
