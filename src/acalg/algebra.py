@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
@@ -172,73 +173,98 @@ class NormalMonomial:
 
 UNIT_MONOMIAL = NormalMonomial()
 
-_MONO_CACHE: dict[Word, NormalMonomial] = {}
+# rewrite_word works on words encoded as small ints, in the letter order
+# mu < mubar < delbar < del its docstring relies on.
+_LETTERS = (MU, MUBAR, DELBAR, DEL)
+_CODE = {sym: n for n, sym in enumerate(_LETTERS)}
+
+#: _RULE_TABLE[a][b]: the encoded REWRITE_RULES entry of the pair (a, b), or
+#: None when the pair is not a redex
+_RULE_TABLE = tuple(
+    tuple(
+        None
+        if (first, second) not in REWRITE_RULES
+        else tuple(
+            (c, tuple(_CODE[s] for s in replacement))
+            for c, replacement in REWRITE_RULES[first, second]
+        )
+        for second in _LETTERS
+    )
+    for first in _LETTERS
+)
+
+EncodedWord = tuple[int, ...]
 
 
-def _cached_monomial(letters: Word) -> NormalMonomial:
-    mono = _MONO_CACHE.get(letters)
+def _encode(letters: Iterable[str]) -> EncodedWord:
+    try:
+        return tuple([_CODE[sym] for sym in letters])
+    except KeyError as exc:
+        raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+
+
+_MONO_CACHE_SIZE = 1 << 16
+_MONO_CACHE: dict[EncodedWord, NormalMonomial] = {}
+
+
+def _monomial(word: EncodedWord) -> NormalMonomial:
+    mono = _MONO_CACHE.get(word)
     if mono is None:
-        mono = NormalMonomial.from_letters(letters)
-        _MONO_CACHE[letters] = mono
+        if len(_MONO_CACHE) >= _MONO_CACHE_SIZE:
+            _MONO_CACHE.clear()
+        mono = NormalMonomial.from_letters(_LETTERS[c] for c in word)
+        _MONO_CACHE[word] = mono
     return mono
-
-
-def _is_redex(first: str, second: str) -> bool:
-    # reducible pairs are exactly: mu followed by anything, or mubar followed
-    # by anything except mu (mubar.mu is the normal two-letter tail)
-    if first == MU:
-        return True
-    return first == MUBAR and second != MU
 
 
 def rewrite_word(letters: Iterable[str], strategy: str = "leftmost") -> "AlgebraElement":
     """Normal form of a single word, as an element of A.
 
     The result is independent of ``strategy``; both orders are exposed so the
-    confluence of the rule system can be tested rather than assumed.
+    confluence of the rule system can be tested rather than assumed.  Each
+    step rewrites the leftmost (or rightmost) redex of a word.
+
+    The worklist maps each intermediate word to its integer coefficient, so
+    branches that reach the same word add up or cancel and the word is
+    expanded once.  That merge is complete because of the order invariant:
+    with the letters ordered mu < mubar < delbar < del, every rule replaces
+    its redex by strictly larger pairs, so a rewrite step yields a strictly
+    larger word of the same length.  Taking the smallest pending word first
+    therefore reaches a word only after every word that rewrites to it has
+    been expanded.
+
+    Raises ValueError for an unknown strategy or letter.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    leftmost = strategy == "leftmost"
-    acc: dict[NormalMonomial, int] = {}
-    word = tuple(letters)
-    # worklist entries carry an integer coefficient and the position from
-    # which the redex scan may safely resume (a rewrite at p only creates new
-    # redexes within one letter of the replacement)
-    start = 0 if leftmost else len(word) - 2
-    work: list[tuple[int, Word, int]] = [(1, word, start)]
-    while work:
-        coeff, word, scan = work.pop()
-        pos = -1
-        if leftmost:
-            last = len(word) - 1
-            n = scan
-            while n < last:
-                if _is_redex(word[n], word[n + 1]):
-                    pos = n
-                    break
-                n += 1
+    word = _encode(letters)
+    last = len(word) - 1
+    positions = range(last) if strategy == "leftmost" else range(last - 1, -1, -1)
+    pending = {word: 1}
+    heap = [word]
+    acc: dict[NormalMonomial, Scalar] = {}
+    while heap:
+        word = heappop(heap)
+        coeff = pending.pop(word)
+        if not coeff:
+            continue
+        for pos in positions:
+            rules = _RULE_TABLE[word[pos]][word[pos + 1]]
+            if rules is not None:
+                break
         else:
-            n = min(scan, len(word) - 2)
-            while n >= 0:
-                if _is_redex(word[n], word[n + 1]):
-                    pos = n
-                    break
-                n -= 1
-        if pos < 0:
-            mono = _cached_monomial(word)
-            value = acc.get(mono, 0) + coeff
-            if value:
-                acc[mono] = value
-            else:
-                acc.pop(mono, None)
+            acc[_monomial(word)] = Scalar(coeff)
             continue
         prefix, suffix = word[:pos], word[pos + 2 :]
-        for c, replacement in REWRITE_RULES[word[pos], word[pos + 1]]:
+        for c, replacement in rules:
             branch = prefix + replacement + suffix
-            resume = max(pos - 1, 0) if leftmost else pos + len(replacement) - 1
-            work.append((coeff * c, branch, resume))
-    return AlgebraElement({m: Scalar(c) for m, c in acc.items()})
+            old = pending.get(branch)
+            if old is None:
+                pending[branch] = c * coeff
+                heappush(heap, branch)
+            else:
+                pending[branch] = old + c * coeff
+    return AlgebraElement(acc)
 
 
 @lru_cache(maxsize=1 << 17)

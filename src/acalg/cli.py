@@ -11,14 +11,17 @@ Subcommands wrap the engine:
 
 Global flags: ``--format {text,json,csv}`` (CSV for tables only),
 ``--seed`` for anything randomized, ``--max-degree`` as the enumeration cap
-(default 12).  Exit codes: 0 success, 1 domain error (JSON error object on
-stdout), 2 usage or syntax error.
+(default 12).  Exit codes: 0 success, 1 domain error, 2 usage or syntax
+error; every error prints a JSON error object on stdout.  Positional
+scalars and expressions may start with ``-`` (``mc check -1/2 0 0 0``,
+``normal-form -mu``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .algebra import dim_A, graded_commutator
@@ -52,8 +55,25 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error raised as :class:`UsageError`, and with a
+    positional value allowed to start with ``-`` (``-1/2``, ``-mu``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a token that matches this pattern and names no option
+        # as a value; the default pattern accepts only plain negative numbers.
+        # It stays in force while no option of the parser matches it, and the
+        # only single-dash option is -h, registered before this line.
+        self._negative_number_matcher = re.compile(r"-[^-]", re.DOTALL)
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="acalg",
         description="Exact calculus for the almost-complex operator algebra.",
     )
@@ -348,13 +368,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         _COMMANDS[args.command](args)
+    except SystemExit as exc:
+        # only --help exits; a usage error raises UsageError
+        return 2 if exc.code else 0
     except ExprSyntaxError as exc:
         _emit_json(
             {

@@ -352,12 +352,17 @@ def load_rep(path) -> BigradedRep:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and bytes that are not UTF-8;
+        # RecursionError, JSON nested too deeply to decode
         raise RepFormatError(f"cannot read representation file: {exc}") from None
     return rep_from_dict(data)
 
 
 def save_rep(rep: BigradedRep, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(rep_to_dict(rep), handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(rep_to_dict(rep), handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise RepFormatError(f"cannot write representation file: {exc}") from None

@@ -23,9 +23,10 @@ from acalg.algebra import (
     restrict_to_B,
     rewrite_word,
     word_bidegree,
+    _encode,
 )
 from acalg.errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
-from acalg.scalars import GaussianRational, ONE
+from acalg.scalars import GaussianRational, ONE, Scalar
 
 
 def gen(sym):
@@ -98,6 +99,130 @@ def test_confluence_short_words():
     for length in range(0, 7):
         for word in itertools.product(GENERATORS, repeat=length):
             assert rewrite_word(word, "leftmost") == rewrite_word(word, "rightmost")
+
+
+# The per-branch worklist that rewrite_word replaced, kept verbatim as the
+# reference: it follows every rewrite branch on its own and never merges
+# equal intermediate words.
+Word = tuple[str, ...]
+_cached_monomial = NormalMonomial.from_letters
+
+
+def _is_redex(first: str, second: str) -> bool:
+    # reducible pairs are exactly: mu followed by anything, or mubar followed
+    # by anything except mu (mubar.mu is the normal two-letter tail)
+    if first == MU:
+        return True
+    return first == MUBAR and second != MU
+
+
+def reference_rewrite_word(letters, strategy: str = "leftmost") -> "AlgebraElement":
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    leftmost = strategy == "leftmost"
+    acc: dict[NormalMonomial, int] = {}
+    word = tuple(letters)
+    # worklist entries carry an integer coefficient and the position from
+    # which the redex scan may safely resume (a rewrite at p only creates new
+    # redexes within one letter of the replacement)
+    start = 0 if leftmost else len(word) - 2
+    work: list[tuple[int, Word, int]] = [(1, word, start)]
+    while work:
+        coeff, word, scan = work.pop()
+        pos = -1
+        if leftmost:
+            last = len(word) - 1
+            n = scan
+            while n < last:
+                if _is_redex(word[n], word[n + 1]):
+                    pos = n
+                    break
+                n += 1
+        else:
+            n = min(scan, len(word) - 2)
+            while n >= 0:
+                if _is_redex(word[n], word[n + 1]):
+                    pos = n
+                    break
+                n -= 1
+        if pos < 0:
+            mono = _cached_monomial(word)
+            value = acc.get(mono, 0) + coeff
+            if value:
+                acc[mono] = value
+            else:
+                acc.pop(mono, None)
+            continue
+        prefix, suffix = word[:pos], word[pos + 2 :]
+        for c, replacement in REWRITE_RULES[word[pos], word[pos + 1]]:
+            branch = prefix + replacement + suffix
+            resume = max(pos - 1, 0) if leftmost else pos + len(replacement) - 1
+            work.append((coeff * c, branch, resume))
+    return AlgebraElement({m: Scalar(c) for m, c in acc.items()})
+
+
+def test_merged_worklist_matches_per_branch_reference():
+    rng = random.Random(4242)
+    words = [w for n in range(0, 8) for w in itertools.product(GENERATORS, repeat=n)]
+    words += [
+        tuple(rng.choice(GENERATORS) for _ in range(rng.randint(9, 10)))
+        for _ in range(200)
+    ]
+    for word in words:
+        for strategy in ("leftmost", "rightmost"):
+            assert rewrite_word(word, strategy) == reference_rewrite_word(word, strategy), (
+                word,
+                strategy,
+            )
+
+
+def test_rules_replace_each_redex_by_later_words():
+    # the invariant the merged worklist relies on: in the encoded letter
+    # order every replacement is strictly later than its redex
+    for redex, replacements in REWRITE_RULES.items():
+        for _, replacement in replacements:
+            assert _encode(replacement) > _encode(redex), (redex, replacement)
+
+
+def _one_step(word, pos):
+    """The combination one rule step at ``pos`` turns ``word`` into, reduced."""
+    out = AlgebraElement.zero()
+    for coeff, replacement in REWRITE_RULES[word[pos], word[pos + 1]]:
+        out = out + rewrite_word(word[:pos] + replacement + word[pos + 2 :]).scale(coeff)
+    return out
+
+
+def test_critical_pairs_resolve():
+    """Bergman's diamond lemma certificate for the rule system.
+
+    Every left side has length 2, so the only ambiguities are the overlaps
+    xyz with xy and yz both redexes; rewriting either one and reducing must
+    give the same normal form.  Together with termination (the decreasing
+    measure tested below) this proves confluence for words of any length.
+    """
+    overlaps = [
+        word
+        for word in itertools.product(GENERATORS, repeat=3)
+        if word[:2] in REWRITE_RULES and word[1:] in REWRITE_RULES
+    ]
+    assert len(overlaps) == 10
+    for word in overlaps:
+        assert _one_step(word, 0) == _one_step(word, 1), word
+
+
+@pytest.mark.parametrize(
+    "word",
+    [("foo",), ("foo", MU, DEL), (MU, "foo", DEL), (MU, DEL, "foo"), (MU, "foo")],
+)
+def test_rewrite_rejects_unknown_letters(word):
+    for strategy in ("leftmost", "rightmost"):
+        with pytest.raises(ValueError, match="unknown letter"):
+            rewrite_word(word, strategy)
+
+
+def test_rewrite_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        rewrite_word((MU, MUBAR), "outermost")
 
 
 def test_rewrite_result_is_normal():

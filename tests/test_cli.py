@@ -220,3 +220,60 @@ def test_output_is_deterministic(capsys):
     third = run(capsys, "dims", "--max", "6", "--carrier", "A")
     fourth = run(capsys, "dims", "--max", "6", "--carrier", "A")
     assert third == fourth
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["mc", "check", "-1/2", "0", "0", "0"], "point", ["-1/2", "0", "0", "0"]),
+        (["mc", "nullity", "-1", "0"], "s", "-1"),
+        (["normal-form", "-mu"], "normal_form", "-1*mu"),
+        (
+            ["cohomology", "--diff", "st", "-1/2", "1", "--carrier", "g", "--max", "3"],
+            "differential",
+            "st(-1/2,1)",
+        ),
+    ],
+)
+def test_positional_values_may_start_with_minus(capsys, argv, key, value):
+    code, out = run(capsys, "--format", "json", *argv)
+    assert code == 0
+    assert json.loads(out)[key] == value
+
+
+def test_minus_values_parse_as_before(capsys):
+    assert run(capsys, "mc", "check", "-1/2", "0", "0", "0") == run(
+        capsys, "mc", "check", "--", "-1/2", "0", "0", "0"
+    )
+    code, out = run(capsys, "rep", "example", "--alpha", "-1/2", "--beta", "0", "--gamma=-i")
+    assert code == 0
+    assert run(capsys, "rep", "example", "--alpha=-1/2", "--beta", "0", "--gamma", "-i") == (code, out)
+    code, out = run(capsys, "--format", "json", "dims", "--max", "-1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims"],
+        ["unknown-command"],
+        ["dims", "--max"],
+        ["dims", "--max", "two"],
+        ["--format", "xml", "dims", "--max", "2"],
+        ["normal-form", "mu", "extra"],
+        ["mc", "check", "1", "0"],
+    ],
+)
+def test_usage_errors_print_json(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "UsageError"
+
+
+def test_help_exits_zero(capsys):
+    code, out = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: acalg")
+    code, _ = run(capsys, "mc", "check", "-h")
+    assert code == 0

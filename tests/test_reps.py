@@ -332,6 +332,23 @@ def test_schema_rejects_wrong_field_types(data, tmp_path, capsys):
     assert main(["rep", "verify", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "RepFormatError"
 
+
+def test_unreadable_files_are_format_errors(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(bytes(range(256)))  # not UTF-8
+    with pytest.raises(RepFormatError):
+        load_rep(path)
+    path.write_text("[" * 100_000 + "]" * 100_000)  # nested past the recursion limit
+    with pytest.raises(RepFormatError):
+        load_rep(path)
+    with pytest.raises(RepFormatError):
+        load_rep(tmp_path)
+    with pytest.raises(RepFormatError):
+        save_rep(build_example_rep(0, 0, 0), tmp_path)
+    assert main(["rep", "example", "--emit", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "RepFormatError"
+
+
 # -- interplay with the rescaling conjugation ------------------------------------------
 
 
