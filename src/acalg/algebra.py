@@ -525,13 +525,11 @@ def basis_A_index(k: int) -> dict[NormalMonomial, int]:
     return {mono: n for n, mono in enumerate(basis_A(k))}
 
 
-def coords_in_A(elt: AlgebraElement, k: int) -> list[Scalar]:
-    """Coordinates of a degree-k homogeneous element in basis_A(k)."""
+def row_in_A(elt: AlgebraElement, k: int) -> dict[int, Scalar]:
+    """Coordinates of a degree-k homogeneous element in basis_A(k), as a
+    row: the basis index of each monomial -> its (nonzero) coefficient."""
     index = basis_A_index(k)
-    coords = [ZERO] * len(index)
-    for mono, coeff in elt._terms.items():
-        coords[index[mono]] = coeff
-    return coords
+    return {index[mono]: coeff for mono, coeff in elt._terms.items()}
 
 
 def restrict_to_B(a: AlgebraElement) -> AlgebraElement:

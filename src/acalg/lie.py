@@ -27,9 +27,9 @@ from .algebra import (
     DELBAR,
     GENERATORS,
     AlgebraElement,
-    coords_in_A,
     generator_element,
     graded_commutator,
+    row_in_A,
 )
 from .errors import InvalidDegree, OutOfDomain
 from .linalg import SpanReducer
@@ -106,9 +106,9 @@ def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
     if value.is_zero():
         return True
     reducer = SpanReducer(
-        coords_in_A(b.value, degree) for b in lie_basis(degree)
+        row_in_A(b.value, degree) for b in lie_basis(degree)
     )
-    return reducer.contains(coords_in_A(value, degree))
+    return reducer.contains(row_in_A(value, degree))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +130,7 @@ def _graded_basis(seed: tuple[str, ...], k: int) -> tuple[tuple[BracketWord, Lie
             candidate = graded_commutator(g_elt, h.value)
             if candidate.is_zero():
                 continue
-            if reducer.add(coords_in_A(candidate, k)):
+            if reducer.add(row_in_A(candidate, k)):
                 selected.append(((g, expr), LieElement(candidate, k, _trusted=True)))
     return tuple(selected)
 

@@ -27,11 +27,11 @@ from .algebra import (
     GENERATORS,
     AlgebraElement,
     basis_A,
-    coords_in_A,
     d_element,
     generator_element,
     graded_commutator,
     product,
+    row_in_A,
 )
 from .cohomology import ad_matrix, cohomology_dims
 from .errors import DegeneratePoint, InternalInconsistency
@@ -75,8 +75,8 @@ def square_coefficients(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:
         graded_commutator(generator_element(DELBAR), generator_element(DEL)),
         graded_commutator(generator_element(DEL), generator_element(DEL)),
     ]
-    columns = [coords_in_A(b, 2) for b in basis]
-    coords = solve_columns(columns, [coords_in_A(square, 2)])[0]
+    columns = [row_in_A(b, 2) for b in basis]
+    coords = solve_columns(columns, [row_in_A(square, 2)])[0]
     if coords is None:
         raise InternalInconsistency(f"[a, a] escaped the expected span: {square}")
     return tuple(coords)

@@ -1,9 +1,23 @@
 """Exact Gaussian-rational scalars.
 
 The coefficient field everywhere in this package is Q(i): numbers a + b*i
-with a, b reduced rationals.  ``fractions.Fraction`` supplies the reduced
-rational arithmetic (positive denominators, gcd-reduced), so the field
-axioms hold exactly and nothing here ever touches floating point.
+with a, b rational.  Nothing here ever touches floating point, so the field
+axioms hold exactly.
+
+Each part is stored in one canonical form: an ``int`` when it is integral
+and a reduced ``fractions.Fraction`` (positive denominator) otherwise.  The
+seven defining relations have coefficients 1, -1 and 1/2, so nearly every
+scalar the package meets is a small integer, and ``int`` arithmetic is
+tens of times cheaper than ``Fraction`` arithmetic.  ``*`` takes a
+real fast path when both imaginary parts are 0, which skips the three
+products that would be 0 (``Fraction`` products when a real part is not
+integral); ``+`` and ``-`` need none, as 0 + 0 on ints costs nothing.  Since
+``hash(Fraction(n)) == hash(n)`` and ``Fraction(n) == n``, the two forms
+agree as dict keys, and ``.numerator`` / ``.denominator`` read both alike.
+
+Every scalar created runs ``__post_init__`` exactly once: it is the single
+normaliser, and ``bool()`` goes through ``is_zero``.  Instances are
+immutable by convention; nothing assigns a part after construction.
 
 Text format (used by the CLI and the representation files):
 
@@ -15,83 +29,90 @@ Text format (used by the CLI and the representation files):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _as_fraction(x) -> Fraction:
+def _part(x):
+    """The canonical form of a rational part: int if integral, else Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _coerce(x):
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational(x)
+    return None
+
+
 class GaussianRational:
     """An element re + im*sqrt(-1) of Q(i)."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = re
+        self.im = im
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+        if type(self.re) is not int:
+            self.re = _part(self.re)
+        if type(self.im) is not int:
+            self.im = _part(self.im)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b or d:
+            return GaussianRational(a * c - b * d, a * d + b * c)
+        return GaussianRational(a * c, 0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
-        norm = o.re * o.re + o.im * o.im
+        a, b, c, d = self.re, self.im, o.re, o.im
+        norm = c * c + d * d
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
+        return GaussianRational(Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm))
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _coerce(other)
         if o is None:
             return NotImplemented
         return o / self
@@ -119,7 +140,17 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    # -- predicates & display ----------------------------------------------
+    # -- equality, predicates & display ---------------------------------------
+
+    def __eq__(self, other):
+        # parts are canonical, so equal values have equal parts; like a
+        # dataclass, a scalar never equals an int or a Fraction
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return not (self.re or self.im)
@@ -152,10 +183,10 @@ def as_scalar(x) -> Scalar:
     """Coerce an int, Fraction or Scalar to a Scalar."""
     if isinstance(x, GaussianRational):
         return x
-    return GaussianRational(_as_fraction(x))
+    return GaussianRational(x)
 
 
-def _frac_text(f: Fraction) -> str:
+def _frac_text(f: int | Fraction) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

@@ -19,13 +19,13 @@ from acalg.algebra import (
     MUBAR,
     AlgebraElement,
     basis_A,
-    coords_in_A,
     d_element,
     dim_A,
     generator_element,
     graded_commutator,
     product,
     rewrite_word,
+    row_in_A,
 )
 from acalg.cohomology import (
     ad_matrix,
@@ -139,8 +139,8 @@ def test_criterion_2_lie_dimensions():
     ]
     ok = ok and dim_g(2) == 3
     ok = ok and same_span(
-        [coords_in_A(b.value, 2) for b in lie_basis(2)],
-        [coords_in_A(v, 2) for v in named_degree2],
+        [row_in_A(b.value, 2) for b in lie_basis(2)],
+        [row_in_A(v, 2) for v in named_degree2],
     )
     engine = {k: dim_g(k) for k in range(3, 9)}
     expected = {k: oracle[k] for k in range(3, 9)}

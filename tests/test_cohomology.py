@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -212,6 +213,52 @@ def test_les_check_passes():
         "exactness-at-connecting-node",
         "exactness-at-cone-node",
     }
+    assert [(r.name, r.degree) for r in report.records] == (
+        [("cone-block-identity", k) for k in (1, 2, 3, 4)]
+        + [("skew-commutation", k) for k in (0, 1, 2, 3)]
+        + [("exactness-at-delbar-node", k) for k in (0, 1, 2, 3)]
+        + [("exactness-at-connecting-node", k) for k in (1, 2, 3, 4)]
+        + [("exactness-at-cone-node", k) for k in (0, 1, 2, 3)]
+    )
+
+
+def test_les_check_witness_is_the_first_failing_base(monkeypatch):
+    # a left multiplication by delbar that is wrong on one word of B_2 breaks
+    # the block identity at degree 3 and skew-commutation at degree 2 there;
+    # the cohomology part is stopped before it starts
+    module = importlib.import_module("acalg.cohomology")
+    bad = get_carrier("B").basis(2)[2]
+    delbar = gen(DELBAR)
+
+    def broken_product(a, b):
+        if a == delbar and b == bad:
+            return AlgebraElement.zero()
+        return product(a, b)
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    reports = []
+
+    class Report(module.LesReport):
+        def __init__(self, *args):
+            super().__init__(*args)
+            reports.append(self)
+
+    monkeypatch.setattr(module, "product", broken_product)
+    monkeypatch.setattr(module, "cohomology_data", stop)
+    monkeypatch.setattr(module, "LesReport", Report)
+    with pytest.raises(Stop):
+        les_check(4)
+    failed = [(r.name, r.degree, r.witness) for r in reports[0].records if not r.passed]
+    assert failed == [
+        ("cone-block-identity", 3, f"block identity fails on {bad}"),
+        ("skew-commutation", 2, f"skew-commutation fails on {bad}"),
+    ]
+    assert len(reports[0].records) == 8
 
 
 def test_les_check_rejects_tiny_degree():

@@ -9,10 +9,10 @@ from acalg.algebra import (
     MU,
     MUBAR,
     AlgebraElement,
-    coords_in_A,
     generator_element,
     graded_commutator,
     restrict_to_B,
+    row_in_A,
 )
 from acalg.errors import InvalidDegree, NotInSubalgebra, OutOfDomain
 from acalg.lie import (
@@ -126,15 +126,15 @@ def test_degree_two_basis_span():
     ]
     ours = [b.value for b in lie_basis(2)]
     assert same_span(
-        [coords_in_A(v, 2) for v in ours],
-        [coords_in_A(v, 2) for v in named],
+        [row_in_A(v, 2) for v in ours],
+        [row_in_A(v, 2) for v in named],
     )
 
 
 def test_h_and_g_spans_agree_above_degree_one():
     for k in range(2, 7):
-        g_span = [coords_in_A(b.value, k) for b in lie_basis(k)]
-        h_span = [coords_in_A(b.value, k) for _, b in h_basis(k)]
+        g_span = [row_in_A(b.value, k) for b in lie_basis(k)]
+        h_span = [row_in_A(b.value, k) for _, b in h_basis(k)]
         assert same_span(g_span, h_span), k
 
 
@@ -181,10 +181,10 @@ def test_bracket_closure_recertifies_at_higher_degree():
     b = lie_basis(4)[1]
     out = bracket(a, b)  # certification against lie_basis(7) happens inside
     assert out.degree == 7
-    coords = coords_in_A(out.value, 7)
+    coords = row_in_A(out.value, 7)
     assert same_span(
-        [coords_in_A(x.value, 7) for x in lie_basis(7)] ,
-        [coords_in_A(x.value, 7) for x in lie_basis(7)] + [coords],
+        [row_in_A(x.value, 7) for x in lie_basis(7)] ,
+        [row_in_A(x.value, 7) for x in lie_basis(7)] + [coords],
     )
 
 

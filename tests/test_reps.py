@@ -12,10 +12,10 @@ from acalg.algebra import (
     MUBAR,
     AlgebraElement,
     basis_A,
-    coords_in_A,
     generator_element,
     graded_commutator,
     product,
+    row_in_A,
 )
 from acalg.cli import main
 from acalg.errors import (
@@ -196,8 +196,8 @@ def test_descent_ideal_acts_by_zero():
     for elt in ideal:
         assert act(rep, elt).is_zero()
     # the two degree-3 ideal elements span the whole degree-3 Lie piece
-    degree3 = [coords_in_A(b.value, 3) for b in lie_basis(3)]
-    named = [coords_in_A(ideal[1], 3), coords_in_A(ideal[2], 3)]
+    degree3 = [row_in_A(b.value, 3) for b in lie_basis(3)]
+    named = [row_in_A(ideal[1], 3), row_in_A(ideal[2], 3)]
     assert same_span(degree3, named)
 
 
