@@ -459,6 +459,12 @@ def generator_element(sym: str) -> AlgebraElement:
     return AlgebraElement({NormalMonomial.from_letters((sym,)): ONE})
 
 
+def generator_coefficients(value: AlgebraElement) -> list[Scalar]:
+    """The coefficients of mubar, delbar, del and mu in ``value``, in the
+    order of GENERATORS; they determine a degree-1 element."""
+    return [value.coefficient(NormalMonomial.from_letters((sym,))) for sym in GENERATORS]
+
+
 def d_element() -> AlgebraElement:
     """The total operator d = mubar + delbar + del + mu."""
     out = _ZERO_ELEMENT
@@ -493,7 +499,8 @@ def graded_commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return product(a, b) + product(b, a)
 
 
-@lru_cache(maxsize=None)
+# dim A_k = 9 * 2^(k-2): far fewer than 32 degrees can ever be built
+@lru_cache(maxsize=32)
 def basis_A(k: int) -> tuple[NormalMonomial, ...]:
     """All normal monomials of total degree k, in the canonical order.
 
@@ -520,7 +527,8 @@ def dim_A(k: int) -> int:
     return (1, 4)[k] if k < 2 else 9 * 2 ** (k - 2)
 
 
-@lru_cache(maxsize=None)
+# one entry per degree, bounded as basis_A is
+@lru_cache(maxsize=32)
 def basis_A_index(k: int) -> dict[NormalMonomial, int]:
     return {mono: n for n, mono in enumerate(basis_A(k))}
 

@@ -15,6 +15,9 @@ Global flags: ``--format {text,json,csv}`` (CSV for tables only),
 error; every error prints a JSON error object on stdout.  Positional
 scalars and expressions may start with ``-`` (``mc check -1/2 0 0 0``,
 ``normal-form -mu``).
+
+``main`` parses with one parser, built on its first call and reused for the
+life of the process; ``build_parser`` returns a new one on every call.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .algebra import dim_A, graded_commutator
 from .cohomology import cohomology_data, get_carrier
@@ -367,9 +371,16 @@ _COMMANDS = {
 }
 
 
+# built on first use and kept: building takes longer than most requests, and
+# parse_args leaves no state in the parser
+@lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         _COMMANDS[args.command](args)
     except SystemExit as exc:
         # only --help exits; a usage error raises UsageError

@@ -13,6 +13,13 @@ degree-wise dimension together with deterministic representatives: the
 earliest kernel vectors, in the kernel's reduced-echelon enumeration, that
 complete the image to the kernel.
 
+A degree-1 element is a = x mubar + y delbar + z del + w mu, and [a, -] is
+linear in a, so ad_a = x ad_mubar + y ad_delbar + z ad_del + w ad_mu.  Each
+generator's map is built once per (generator, degree, carrier) and kept in
+a bounded cache; every differential's map is assembled from them, so the
+map out of degree k also serves as the map into degree k + 1.  Each
+generator must map the carrier into itself, as all four do on g, h and B.
+
 ``les_check`` verifies the mapping-cone identity for ad_mubar on B, the skew
 commutation of ad_mubar with left multiplication by delbar, and the
 node-by-node exactness of the induced long sequence on cohomology.
@@ -27,9 +34,11 @@ from typing import Callable, Sequence
 
 from .algebra import (
     DELBAR,
+    GENERATORS,
     MUBAR,
     AlgebraElement,
     NormalMonomial,
+    generator_coefficients,
     generator_element,
     graded_commutator,
     product,
@@ -177,9 +186,41 @@ def _as_degree_one(a) -> AlgebraElement:
 
 
 def _ad_columns(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
-    """Coordinates of [value, b] in degree k + 1, for each b in basis(k)."""
-    images = [graded_commutator(value, x) for x in carrier.basis(k)]
+    """Coordinates of [value, b] in degree k + 1, for each b in basis(k).
+
+    [a, -] is linear in a, so ad_a = sum_j c_j ad_{g_j} over the generators
+    g_j with nonzero coefficients c_j in a; the columns of each ad_{g_j} are
+    built once per (generator, degree, carrier) and then only combined.
+    """
+    cached = CARRIERS.get(carrier.name) is carrier
+    columns: list[Row] = [{} for _ in carrier.basis(k)]
+    for sym, coeff in zip(GENERATORS, generator_coefficients(value)):
+        if not coeff:
+            continue
+        if cached:
+            generator_columns = _generator_columns_cached(sym, k, carrier.name)
+        else:
+            generator_columns = _generator_columns(sym, k, carrier)
+        for column, generator_column in zip(columns, generator_columns):
+            for i, x in generator_column.items():
+                y = coeff * x
+                column[i] = column[i] + y if i in column else y
+    return [{i: x for i, x in column.items() if x} for column in columns]
+
+
+def _generator_columns(sym: str, k: int, carrier: Carrier) -> list[Row]:
+    """Coordinates of [g, b] in degree k + 1, for each b in basis(k), for the
+    generator g named ``sym``."""
+    g = generator_element(sym)
+    images = [graded_commutator(g, x) for x in carrier.basis(k)]
     return carrier.coordinates(images, k + 1) if images else []
+
+
+# 3 carriers x 4 generators x 32 degrees, the degree bound of `_words`; the
+# rows are shared, so `_ad_columns` only reads them
+@lru_cache(maxsize=384)
+def _generator_columns_cached(sym: str, k: int, carrier_name: str) -> list[Row]:
+    return _generator_columns(sym, k, CARRIERS[carrier_name])
 
 
 def ad_matrix(a, k: int, carrier="g") -> GradedMap:
@@ -225,14 +266,17 @@ class CohomologyData:
         solved = solve_columns(self.rep_coords + self.image, vectors)
         return [None if s is None else s[: self.dim] for s in solved]
 
-    def class_coordinates(self, vec: Row) -> Vector | None:
-        """Express a kernel vector as rep-combination modulo the image."""
-        return self.classes([vec])[0]
-
 
 def _check_differential(value: AlgebraElement) -> None:
-    if not graded_commutator(value, value).is_zero():
+    if not _squares_to_zero(value):
         raise NotADifferential(f"[a, a] != 0 for a = {value}")
+
+
+# keyed by any degree-1 element, so bounded like `_cohomology_data_cached`: a
+# `cohomology` request checks its differential once, not once per degree
+@lru_cache(maxsize=1024)
+def _squares_to_zero(value: AlgebraElement) -> bool:
+    return graded_commutator(value, value).is_zero()
 
 
 def cohomology_data(a, k: int, carrier="g") -> CohomologyData:

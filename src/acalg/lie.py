@@ -111,7 +111,9 @@ def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
     return reducer.contains(row_in_A(value, degree))
 
 
-@lru_cache(maxsize=None)
+# 2 seeds (g and h) x 32 degrees; dim A_k = 9 * 2^(k-2) keeps far fewer
+# degrees within reach
+@lru_cache(maxsize=64)
 def _graded_basis(seed: tuple[str, ...], k: int) -> tuple[tuple[BracketWord, LieElement], ...]:
     """Degree-k basis grown from the degree-1 generators ``seed``, with the
     bracket word that produced each element.

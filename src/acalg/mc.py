@@ -28,6 +28,7 @@ from .algebra import (
     AlgebraElement,
     basis_A,
     d_element,
+    generator_coefficients,
     generator_element,
     graded_commutator,
     product,
@@ -52,12 +53,7 @@ def g1_element(x, y, z, w) -> LieElement:
 
 
 def g1_coordinates(a: LieElement) -> list[Scalar]:
-    value = a.value
-    out = []
-    for sym in GENERATORS:
-        mono = generator_element(sym).monomials()[0]
-        out.append(value.coefficient(mono))
-    return out
+    return generator_coefficients(a.value)
 
 
 def quadric_values(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .algebra import (
@@ -44,8 +45,8 @@ from .algebra import (
     graded_commutator,
 )
 from .errors import IdealNotKilled, LabelClash, RepFormatError, UnverifiedRep
-from .linalg import ExactMatrix, SpanReducer
-from .scalars import HALF, ONE, ZERO, Scalar, as_scalar, scalar_from_text
+from .linalg import ExactMatrix, Row, SpanReducer
+from .scalars import HALF, ONE, Scalar, as_scalar, scalar_from_text
 
 #: action entry: (target index, source index, coefficient)
 ActionEntry = tuple[int, int, Scalar]
@@ -115,11 +116,20 @@ def make_rep(
 
 
 def action_matrix(rep: BigradedRep, sym: str) -> ExactMatrix:
-    n = rep.dim
-    rows = [[ZERO] * n for _ in range(n)]
+    columns: list[Row] = [{} for _ in range(rep.dim)]
     for i, j, coeff in rep.action_entries(sym):
-        rows[i][j] = rows[i][j] + coeff
-    return ExactMatrix(rows, ncols=n)
+        column = columns[j]
+        column[i] = column[i] + coeff if i in column else coeff
+    return ExactMatrix.from_columns(
+        [{i: x for i, x in column.items() if x} for column in columns], nrows=rep.dim
+    )
+
+
+# keyed by the rep like `_is_verified`, and as bounded; the matrices are
+# shared by `act` and `verify_relations`, which only read them
+@lru_cache(maxsize=256)
+def _action_matrices(rep: BigradedRep) -> Mapping[str, ExactMatrix]:
+    return MappingProxyType({sym: action_matrix(rep, sym) for sym in GENERATORS})
 
 
 @dataclass(frozen=True)
@@ -139,7 +149,7 @@ def verify_relations(rep: BigradedRep) -> list[RelationViolation]:
     Returns the empty list exactly when the data is a representation of the
     algebra; violations are returned as data, never raised.
     """
-    matrices = {sym: action_matrix(rep, sym) for sym in GENERATORS}
+    matrices = _action_matrices(rep)
     violations: list[RelationViolation] = []
     for name, words in RELATIONS:
         total = ExactMatrix.zeros(rep.dim, rep.dim)
@@ -174,7 +184,7 @@ def act(rep: BigradedRep, a: AlgebraElement) -> ExactMatrix:
         raise UnverifiedRep(
             "representation fails the relations; only single-word actions are defined"
         )
-    matrices = {sym: action_matrix(rep, sym) for sym in GENERATORS}
+    matrices = _action_matrices(rep)
     total = ExactMatrix.zeros(rep.dim, rep.dim)
     for mono, coeff in a.terms():
         partial = ExactMatrix.identity(rep.dim)

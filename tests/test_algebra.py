@@ -15,8 +15,10 @@ from acalg.algebra import (
     AlgebraElement,
     NormalMonomial,
     basis_A,
+    basis_A_index,
     d_element,
     dim_A,
+    generator_coefficients,
     generator_element,
     graded_commutator,
     product,
@@ -371,6 +373,20 @@ def test_dims_match_series_through_12():
 
 def test_dim_A_closed_form_counts_the_basis():
     assert [dim_A(k) for k in range(13)] == [len(basis_A(k)) for k in range(13)]
+
+
+def test_basis_caches_are_bounded():
+    for cache in (basis_A, basis_A_index):
+        assert cache.cache_info().maxsize is not None
+
+
+def test_generator_coefficients_read_a_degree_one_element():
+    value = gen(MUBAR).scale(2) + gen(DEL).scale(Fraction(-1, 3))
+    G = GaussianRational
+    assert generator_coefficients(value) == [G(2), G(0), G(Fraction(-1, 3)), G(0)]
+    assert generator_coefficients(AlgebraElement.zero()) == [G(0)] * 4
+    # the four generator monomials are all of degree 1
+    assert sorted(map(str, basis_A(1))) == sorted(GENERATORS)
 
 
 def test_basis_A_rejects_negative_degree():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from acalg import cli
 from acalg.cli import main
 from acalg.exprs import parse_element
 from acalg.linalg import same_span
@@ -277,3 +278,28 @@ def test_help_exits_zero(capsys):
     assert out.startswith("usage: acalg")
     code, _ = run(capsys, "mc", "check", "-h")
     assert code == 0
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._shared_parser.cache_clear()
+    sequence = [
+        ["cohomology", "--diff", "d", "--max", "two"],
+        ["--help"],
+        ["mc", "check", "1", "2", "3", "4"],
+        ["normal-form", "-mu"],
+        ["cohomology", "--diff", "st", "-1/2", "1", "--carrier", "g", "--max", "3"],
+    ]
+    passes = []
+    for _ in range(2):
+        results = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        passes.append(results)
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [2, 0, 0, 0, 0]
+    assert built == [1]  # one parser served all ten requests

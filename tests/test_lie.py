@@ -20,6 +20,7 @@ from acalg.lie import (
     D_MUBAR,
     HolElement,
     LieElement,
+    _graded_basis,
     bracket,
     d_lie,
     derivation_apply,
@@ -106,6 +107,10 @@ def test_lie_basis_degree_one():
         lie_basis(0)
     with pytest.raises(InvalidDegree):
         dim_g(-2)
+
+
+def test_graded_basis_cache_is_bounded():
+    assert _graded_basis.cache_info().maxsize is not None
 
 
 def test_lie_dims_match_series_oracle():

@@ -25,10 +25,12 @@ from acalg.errors import (
     UnverifiedRep,
 )
 from acalg.lie import lie_basis
-from acalg.linalg import same_span
+from acalg.linalg import ExactMatrix, same_span
 from acalg.mc import phi_conjugation_check
 from acalg.reps import (
+    _action_matrices,
     act,
+    action_matrix,
     build_example_rep,
     direct_sum,
     load_rep,
@@ -361,3 +363,36 @@ def test_phi_conjugation_on_rep():
 def test_phi_conjugation_on_truncated_regular_rep():
     report = phi_conjugation_check(3, 2, 2, rep=truncated_regular_rep())
     assert report.passed
+
+
+def reference_action_matrix(rep, sym):
+    """action_matrix as it was before it built dict rows directly: a dense
+    n x n list of scalars, zero-tested by ExactMatrix.  Kept as the
+    reference the direct build must reproduce."""
+    n = rep.dim
+    rows = [[ZERO] * n for _ in range(n)]
+    for i, j, coeff in rep.action_entries(sym):
+        rows[i][j] = rows[i][j] + coeff
+    return ExactMatrix(rows, ncols=n)
+
+
+def test_action_matrix_matches_the_reference():
+    rng = random.Random(7)
+    example = build_example_rep(rand_scalar(rng), rand_scalar(rng), rand_scalar(rng))
+    # two arrows on one entry, cancelling, and two adding up
+    doubled = make_rep(
+        [("a", 0, 0), ("b", 0, 1), ("c", 1, 0)],
+        {DELBAR: [("a", "b", ONE), ("a", "b", -ONE)], DEL: [("a", "c", HALF), ("a", "c", HALF)]},
+    )
+    for rep in (example, direct_sum(example, truncated_regular_rep(), rename=True), doubled, zero_rep()):
+        for sym in GENERATORS:
+            assert action_matrix(rep, sym) == reference_action_matrix(rep, sym), sym
+    assert action_matrix(doubled, DELBAR).is_zero()
+    assert action_matrix(doubled, DEL).entry(2, 0) == ONE
+
+
+def test_action_matrices_are_shared_and_bounded():
+    rep = build_example_rep(1, 2, 3)
+    assert _action_matrices.cache_info().maxsize is not None
+    assert _action_matrices(rep) is _action_matrices(build_example_rep(1, 2, 3))
+    assert dict(_action_matrices(rep)) == {sym: action_matrix(rep, sym) for sym in GENERATORS}
