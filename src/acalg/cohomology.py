@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     DELBAR,
@@ -48,7 +48,7 @@ from .algebra import (
 )
 from .errors import InvalidDegree, NotADifferential, NotWellDefined
 from .lie import LieElement, h_basis, lie_basis
-from .linalg import ExactMatrix, Row, SpanReducer, Vector, solve_columns, sparse_row
+from .linalg import ExactMatrix, Row, SpanReducer, solve_columns
 from .scalars import ONE, Scalar
 
 
@@ -77,7 +77,7 @@ class Carrier:
                 raise NotWellDefined(
                     f"element is outside carrier {self.name} at degree {k}: {elements[n]}"
                 )
-        return [sparse_row(coords) for coords in solved]
+        return solved
 
     def element(self, coords: Row, k: int) -> AlgebraElement:
         basis = self.basis(k)
@@ -88,21 +88,17 @@ class Carrier:
 
 
 class _LieCarrier(Carrier):
-    name = "g"
+    """A graded Lie algebra, zero in degree 0, with its basis from
+    ``elements(k)`` for k >= 1."""
+
+    def __init__(self, name: str, elements: Callable[[int], Iterable[LieElement]]):
+        self.name = name
+        self._elements = elements
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         if k < 1:
             return ()
-        return tuple(b.value for b in lie_basis(k))
-
-
-class _SubalgebraCarrier(Carrier):
-    name = "h"
-
-    def basis(self, k: int) -> tuple[AlgebraElement, ...]:
-        if k < 1:
-            return ()
-        return tuple(b.value for _, b in h_basis(k))
+        return tuple(b.value for b in self._elements(k))
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,13 @@ class _WordCarrier(Carrier):
         return AlgebraElement({monomials[j]: c for j, c in coords.items()})
 
 
-CARRIERS = {"g": _LieCarrier(), "h": _SubalgebraCarrier(), "B": _WordCarrier()}
+# the basis sources look `lie_basis` and `h_basis` up on each call, so a
+# wrapper installed on this module's names (as bench/tracer.py does) sees them
+CARRIERS = {
+    "g": _LieCarrier("g", lambda k: lie_basis(k)),
+    "h": _LieCarrier("h", lambda k: (b for _, b in h_basis(k))),
+    "B": _WordCarrier(),
+}
 
 
 def get_carrier(which) -> Carrier:
@@ -237,7 +239,9 @@ def ad_matrix(a, k: int, carrier="g") -> GradedMap:
 class CohomologyData:
     """Everything about H^k(carrier, ad_a) needed to build induced maps.
 
-    Vectors are rows of coordinates in ``carrier.basis(degree)``.
+    Vectors are rows of coordinates in ``carrier.basis(degree)``: the
+    kernel's reduced-echelon basis as ``nullspace`` returns it, the image as
+    the columns of the incoming ad map, and the representatives.
     """
 
     degree: int
@@ -260,11 +264,12 @@ class CohomologyData:
             span.add(vec)
         return span
 
-    def classes(self, vectors: Sequence[Row]) -> list[Vector | None]:
+    def classes(self, vectors: Sequence[Row]) -> list[Row | None]:
         """Express kernel vectors as rep-combinations modulo the image, all
         in one elimination; None for a vector outside the kernel."""
         solved = solve_columns(self.rep_coords + self.image, vectors)
-        return [None if s is None else s[: self.dim] for s in solved]
+        dim = self.dim
+        return [None if s is None else {j: x for j, x in s.items() if j < dim} for s in solved]
 
 
 def _check_differential(value: AlgebraElement) -> None:
@@ -296,7 +301,7 @@ def _cohomology_data_cached(value: AlgebraElement, k: int, carrier_name: str) ->
 
 
 def _cohomology_data_raw(value: AlgebraElement, k: int, carrier: Carrier) -> CohomologyData:
-    kernel = [sparse_row(vec) for vec in ad_matrix(value, k, carrier).matrix.nullspace()]
+    kernel = ad_matrix(value, k, carrier).matrix.nullspace()
     image = _ad_columns(value, k - 1, carrier)
     reducer = SpanReducer(image)
     rep_coords = [vec for vec in kernel if reducer.add(vec)]

@@ -1,14 +1,15 @@
 """Exact linear algebra over Q(i) with one sparse elimination engine.
 
-Vectors come in two forms: a dense list of scalars, or a row, a dict that
-maps an index to a nonzero entry and holds nothing else.  Every function
-here accepts either; ``sparse_row`` turns both into a fresh row.
+Vectors are rows: a dict that maps an index to a nonzero entry and holds
+nothing else.  Every function here takes and returns rows.  Dense data
+crosses in two places only: ``ExactMatrix(rows)`` reads lists of scalars,
+and ``ExactMatrix.rows`` writes a dense copy for callers that print or count
+entries.
 
-``ExactMatrix`` stores its entries once, as rows; ``rows`` is a dense copy
-for callers that index or print entries.  Every elimination goes through
-``SpanReducer``, an incremental reduced row-echelon form over rows.  Each
-row has a leading 1 at its pivot (its first nonzero column) and a zero in
-every other row's pivot column.
+``ExactMatrix`` stores its entries once, as rows.  Every elimination goes
+through ``SpanReducer``, an incremental reduced row-echelon form over rows.
+Each row has a leading 1 at its pivot (its first nonzero column) and a zero
+in every other row's pivot column.
 
 A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``
 and ``solve_columns``, thin readers of the engine, and the greedy selections
@@ -17,23 +18,11 @@ made with ``SpanReducer.add`` do not depend on the order rows arrive in.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
-Vector = list[Scalar]
 Row = dict[int, Scalar]  # index -> nonzero entry
-
-
-def sparse_row(vec: Sequence[Scalar] | Row) -> Row:
-    """The nonzero entries of ``vec`` as a new row the caller may change.
-
-    A row is copied as it is, without testing its entries; a dense vector
-    has each entry tested once.
-    """
-    if isinstance(vec, dict):
-        return dict(vec)
-    return {j: x for j, x in enumerate(vec) if x}
 
 
 class ExactMatrix:
@@ -49,7 +38,7 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         elif ncols is None:
             ncols = 0
-        self._rows = [sparse_row(row) for row in data]
+        self._rows = [{j: x for j, x in enumerate(row) if x} for row in data]
         self.nrows = len(data)
         self.ncols = ncols
 
@@ -71,35 +60,27 @@ class ExactMatrix:
         return cls._of([{i: ONE} for i in range(n)], n)
 
     @classmethod
-    def from_columns(
-        cls, columns: Sequence[Vector | Row], nrows: int | None = None
-    ) -> "ExactMatrix":
-        """The matrix with these columns; ``nrows`` is needed when the
-        columns are rows (dicts), whose length is not recorded."""
-        if nrows is None:
-            nrows = len(columns[0]) if columns else 0
+    def from_columns(cls, columns: Sequence[Row], nrows: int) -> "ExactMatrix":
+        """The ``nrows``-row matrix with these columns."""
         rows: list[Row] = [{} for _ in range(nrows)]
         for j, col in enumerate(columns):
-            for i, x in sparse_row(col).items():
+            for i, x in col.items():
                 rows[i][j] = x
         return cls._of(rows, len(columns))
 
     @property
-    def rows(self) -> list[Vector]:
+    def rows(self) -> list[list[Scalar]]:
         """A dense copy of the entries, row by row."""
         return [[row.get(j, ZERO) for j in range(self.ncols)] for row in self._rows]
 
     def entry(self, i: int, j: int) -> Scalar:
         return self._rows[i].get(j, ZERO)
 
-    def column(self, j: int) -> Vector:
-        return [row.get(j, ZERO) for row in self._rows]
-
-    def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix.from_columns(self._rows, nrows=self.ncols)
+    def nonzero(self) -> Iterator[tuple[int, int, Scalar]]:
+        """The nonzero entries as (row, column, entry), row by row."""
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                yield i, j, x
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
@@ -132,17 +113,6 @@ class ExactMatrix:
             [{j: x * coeff for j, x in row.items()} for row in self._rows], self.ncols
         )
 
-    def apply(self, vec: Sequence[Scalar]) -> Vector:
-        out = [ZERO] * self.nrows
-        for i, row in enumerate(self._rows):
-            acc = ZERO
-            for j, a in row.items():
-                x = vec[j]
-                if x:
-                    acc = acc + a * x
-            out[i] = acc
-        return out
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
@@ -170,17 +140,13 @@ class ExactMatrix:
     def rank(self) -> int:
         return self._echelon().rank
 
-    def nullspace(self) -> list[Vector]:
-        """Deterministic kernel basis: one vector per free column, ascending.
+    def nullspace(self) -> list[Row]:
+        """Deterministic kernel basis: one row per free column, ascending.
 
         Free column f gives 1 at f and -row[f] at each pivot row's pivot.
         """
         pivot_rows = self._echelon()._rows
-        kernel: dict[int, Vector] = {}
-        for free in range(self.ncols):
-            if free not in pivot_rows:
-                kernel[free] = [ZERO] * self.ncols
-                kernel[free][free] = ONE
+        kernel = {f: {f: ONE} for f in range(self.ncols) if f not in pivot_rows}
         for pivot, row in pivot_rows.items():
             for j, x in row.items():
                 if j != pivot:
@@ -189,13 +155,14 @@ class ExactMatrix:
 
 
 def solve_columns(
-    basis_columns: Sequence[Vector | Row], rhs_columns: Sequence[Vector | Row]
-) -> list[Vector | None]:
+    basis_columns: Sequence[Row], rhs_columns: Sequence[Row]
+) -> list[Row | None]:
     """Solve basis * x = rhs for every rhs column in one elimination pass.
 
-    Returns, per right-hand side, the coordinate vector in terms of
-    ``basis_columns`` or None when the column is outside their span.  Free
-    basis columns (if the basis is dependent) get coordinate zero.
+    Returns, per right-hand side, its coordinates in terms of
+    ``basis_columns`` as a row, or None when the column is outside their
+    span.  Free basis columns (if the basis is dependent) get coordinate
+    zero.
 
     The rows of [basis | rhs] are reduced together.  Row operations keep the
     relations between columns, so a right-hand side is in the basis span
@@ -208,19 +175,20 @@ def solve_columns(
     columns = list(basis_columns) + list(rhs_columns)
     by_row: dict[int, Row] = {}
     for j, col in enumerate(columns):
-        for i, x in sparse_row(col).items():
+        for i, x in col.items():
             by_row.setdefault(i, {})[j] = x
     reducer = SpanReducer()
     for row in by_row.values():
         reducer._insert(row)
     rows = reducer._rows
     outside = [row for pivot, row in rows.items() if pivot >= ncols]
-    out: list[Vector | None] = []
+    inside = [(pivot, row) for pivot, row in rows.items() if pivot < ncols]
+    out: list[Row | None] = []
     for col in range(ncols, len(columns)):
         if any(col in row for row in outside):
             out.append(None)
         else:
-            out.append([rows[p].get(col, ZERO) if p in rows else ZERO for p in range(ncols)])
+            out.append({pivot: row[col] for pivot, row in inside if col in row})
     return out
 
 
@@ -233,7 +201,7 @@ class SpanReducer:
     leading 1, whose pivot column is then cleared from every older row.
     """
 
-    def __init__(self, vectors: Iterable[Vector | Row] = ()):
+    def __init__(self, vectors: Iterable[Row] = ()):
         self._rows: dict[int, Row] = {}  # pivot column -> reduced row
         for vec in vectors:
             self.add(vec)
@@ -287,17 +255,10 @@ class SpanReducer:
         self._rows[pivot] = residue
         return True
 
-    def contains(self, vec: Vector | Row) -> bool:
-        return not self._reduce(sparse_row(vec))
+    def contains(self, vec: Row) -> bool:
+        return not self._reduce(dict(vec))
 
-    def add(self, vec: Vector | Row) -> bool:
-        """Insert ``vec`` if independent; returns True when it was added."""
-        return self._insert(sparse_row(vec))
-
-
-def same_span(first: Sequence[Vector | Row], second: Sequence[Vector | Row]) -> bool:
-    a = SpanReducer(first)
-    b = SpanReducer(second)
-    if a.rank != b.rank:
-        return False
-    return all(a.contains(v) for v in second) and all(b.contains(v) for v in first)
+    def add(self, vec: Row) -> bool:
+        """Insert ``vec`` if independent; returns True when it was added.
+        The caller's row is left as it was."""
+        return self._insert(dict(vec))

@@ -20,6 +20,7 @@ cohomology are all provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import (
     DEL,
@@ -37,7 +38,7 @@ from .algebra import (
 from .cohomology import ad_matrix, cohomology_dims
 from .errors import DegeneratePoint, InternalInconsistency
 from .lie import LieElement, d_lie, project_hol
-from .linalg import SpanReducer, solve_columns
+from .linalg import Row, SpanReducer, solve_columns
 from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
 
@@ -61,21 +62,28 @@ def quadric_values(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:
     return (x * z - y * y, y * w - z * z, x * w - y * z)
 
 
+@lru_cache(maxsize=1)
+def _square_basis_columns() -> tuple[Row, Row, Row]:
+    """[delbar,delbar], [delbar,del] and [del,del] as rows in basis_A(2);
+    ``solve_columns`` only reads them."""
+    delbar, del_ = generator_element(DELBAR), generator_element(DEL)
+    basis = (
+        graded_commutator(delbar, delbar),
+        graded_commutator(delbar, del_),
+        graded_commutator(del_, del_),
+    )
+    return tuple(row_in_A(b, 2) for b in basis)
+
+
 def square_coefficients(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:
     """Coordinates of [a, a] on ([delbar,delbar], [delbar,del], [del,del]),
     computed through the actual graded commutator in A."""
     a = g1_element(x, y, z, w).value
     square = graded_commutator(a, a)
-    basis = [
-        graded_commutator(generator_element(DELBAR), generator_element(DELBAR)),
-        graded_commutator(generator_element(DELBAR), generator_element(DEL)),
-        graded_commutator(generator_element(DEL), generator_element(DEL)),
-    ]
-    columns = [row_in_A(b, 2) for b in basis]
-    coords = solve_columns(columns, [row_in_A(square, 2)])[0]
+    coords = solve_columns(_square_basis_columns(), [row_in_A(square, 2)])[0]
     if coords is None:
         raise InternalInconsistency(f"[a, a] escaped the expected span: {square}")
-    return tuple(coords)
+    return tuple(coords.get(j, ZERO) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,7 @@ def tangent_basis(s, t) -> tuple[LieElement, LieElement]:
 def kernel_g1(a: LieElement) -> list[LieElement]:
     """Basis of ker(ad_a) on degree 1, i.e. the degree-1 cocycles."""
     matrix = ad_matrix(a, 1, "g").matrix
-    return [g1_element(*vec) for vec in matrix.nullspace()]
+    return [g1_element(*(row.get(j, ZERO) for j in range(4))) for row in matrix.nullspace()]
 
 
 def strata_nullity(s, t) -> int:
@@ -181,7 +189,9 @@ def quotient_nullity(a: LieElement) -> tuple[int, int]:
     reducer = SpanReducer()
     rank = 0
     for vec in kernel:
-        if reducer.add(project_hol(vec).coords()):
+        hol = project_hol(vec)
+        row = {j: c for j, c in ((0, hol.coeff_delbar), (1, hol.coeff_del)) if c}
+        if reducer.add(row):
             rank += 1
     return len(kernel), len(kernel) - rank
 

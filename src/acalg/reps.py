@@ -155,16 +155,11 @@ def verify_relations(rep: BigradedRep) -> list[RelationViolation]:
         total = ExactMatrix.zeros(rep.dim, rep.dim)
         for coeff, (first, second) in words:
             total = total + (matrices[first] @ matrices[second]).scale(coeff)
-        for j in range(rep.dim):
-            column = [(i, total.entry(i, j)) for i in range(rep.dim) if total.entry(i, j)]
-            if column:
-                violations.append(
-                    RelationViolation(
-                        name,
-                        rep.labels[j],
-                        tuple((rep.labels[i], c) for i, c in column),
-                    )
-                )
+        columns: dict[int, list[tuple[str, Scalar]]] = {}
+        for i, j, c in total.nonzero():
+            columns.setdefault(j, []).append((rep.labels[i], c))
+        for j in sorted(columns):
+            violations.append(RelationViolation(name, rep.labels[j], tuple(columns[j])))
     return violations
 
 
@@ -209,9 +204,10 @@ def quotient_faithfulness(rep: BigradedRep) -> bool:
     basis = [generator_element(sym) for sym in GENERATORS]
     basis.append(graded_commutator(del_, del_))
     basis.append(graded_commutator(delbar, delbar))
+    n = rep.dim
     reducer = SpanReducer()
     for elt in basis:
-        flat = [x for row in act(rep, elt).rows for x in row]
+        flat = {i * n + j: x for i, j, x in act(rep, elt).nonzero()}
         if not reducer.add(flat):
             return False
     return True

@@ -5,9 +5,9 @@ import pytest
 from acalg import cli
 from acalg.cli import main
 from acalg.exprs import parse_element
-from acalg.linalg import same_span
 from acalg.mc import g1_coordinates, g1_element
 from acalg.lie import d_lie
+from vectors import same_span
 
 
 def run(capsys, *argv):

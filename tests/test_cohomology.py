@@ -35,10 +35,11 @@ from acalg.cohomology import (
     split_B,
 )
 from acalg.errors import InvalidDegree, NotADifferential, NotWellDefined
-from acalg.lie import d_lie, lie_generator
-from acalg.linalg import ExactMatrix, SpanReducer, same_span
+from acalg.lie import d_lie, lie_basis, lie_generator
+from acalg.linalg import ExactMatrix, SpanReducer
 from acalg.mc import d_st, g1_coordinates, g1_element
 from acalg.scalars import I
+from vectors import same_span, transpose
 
 def gen(sym):
     return generator_element(sym)
@@ -102,7 +103,7 @@ def test_produced_matrix_ranks_are_transpose_invariant():
         (lie_generator(MU), "h", 3),
     ]:
         matrix = ad_matrix(a, k, carrier).matrix
-        assert matrix.rank() == matrix.transpose().rank()
+        assert matrix.rank() == transpose(matrix).rank()
 
 
 def reference_ad_columns(value, k, carrier):
@@ -116,6 +117,9 @@ def reference_ad_columns(value, k, carrier):
 class _UncachedLieCarrier(_LieCarrier):
     """The built-in g carrier as an object of its own, so its maps are
     assembled without the generator cache."""
+
+    def __init__(self):
+        super().__init__("g", lie_basis)
 
 
 class _MixedLieCarrier(_UncachedLieCarrier):
@@ -386,7 +390,7 @@ def test_cohomology_ring_of_B():
 
     for k in range(0, 9):
         # the canonical class spans H^k
-        assert any(class_of(canonical(k), k)), k
+        assert class_of(canonical(k), k), k
     for j in range(1, 8):
         for l in range(1, 8):
             if j + l > 8:
@@ -394,9 +398,9 @@ def test_cohomology_ring_of_B():
             prod = product(canonical(j), canonical(l))
             cls = class_of(prod, j + l)
             if j % 2 and l % 2:
-                assert not any(cls), (j, l)
+                assert not cls, (j, l)
             else:
-                assert any(cls), (j, l)
+                assert cls, (j, l)
 
 
 # -- the two-step page --------------------------------------------------------------
@@ -423,7 +427,7 @@ class _ZeroCarrier(Carrier):
     def coordinates(self, elements, k):
         for e in elements:
             assert e.is_zero()
-        return [[] for _ in elements]
+        return [{} for _ in elements]
 
 
 def test_E1_on_zero_carrier():

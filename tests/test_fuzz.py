@@ -1,24 +1,28 @@
-"""Seeded fuzzing of the text inputs: scalars, expressions and the CLI.
+"""Seeded fuzzing of the inputs: scalars, expressions, rep files and the CLI.
 
 Whatever the input, the scalar reader returns a value or raises ValueError,
-the expression parser returns an element or raises an EngineError, and
+the expression parser returns an element or raises an EngineError,
+``rep_from_dict`` returns a representation or raises RepFormatError, and
 ``cli.main`` returns 0, 1 or 2 with a JSON error object on stdout whenever it
 fails.  The examples are derandomized, so every run tries the same inputs.
 """
 
 import contextlib
+import copy
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from acalg.algebra import AlgebraElement
+from acalg.algebra import GENERATORS, AlgebraElement
 from acalg.cli import main
-from acalg.errors import EngineError
+from acalg.errors import EngineError, RepFormatError
 from acalg.exprs import parse_element, render
+from acalg.reps import BigradedRep, build_example_rep, rep_from_dict, rep_to_dict
 from acalg.scalars import GaussianRational, scalar_from_text
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -64,6 +68,107 @@ def test_parse_element_returns_or_raises_engine_error(text):
         return
     assert isinstance(element, AlgebraElement)
     assert parse_element(render(element)) == element
+
+
+# -- rep files: any JSON value, and values in and around the schema --------------
+
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),  # json.load reads NaN and Infinity too
+    st.text(max_size=4),
+    st.sampled_from(["x", "y", "1", "-1/2", "i", "0", "1/0", "mubar", "del"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _or_any(strategy):
+    """A value of the expected kind, or now and then any JSON value."""
+    return st.integers(0, 15).flatmap(lambda n: strategy if n else JSON_VALUES)
+
+
+REP_LABELS = st.sampled_from(["x", "y", "z"])
+REP_DEGREES = st.integers(0, 2)  # small, so that some arrows respect bidegrees
+REP_VECTORS = st.lists(REP_LABELS, max_size=3, unique=True).flatmap(
+    lambda labels: st.tuples(
+        *[
+            _or_any(
+                st.fixed_dictionaries(
+                    {"label": _or_any(st.just(label)), "p": _or_any(REP_DEGREES), "q": _or_any(REP_DEGREES)}
+                )
+            )
+            for label in labels
+        ]
+    ).map(list)
+)
+REP_ENTRIES = st.lists(
+    _or_any(
+        st.fixed_dictionaries(
+            {
+                "from": _or_any(REP_LABELS),
+                "to": _or_any(REP_LABELS),
+                "coeff": _or_any(st.sampled_from(["1", "-1/2", "i", "0", "2+i", "1/0", "x", 3])),
+            }
+        )
+    ),
+    max_size=3,
+)
+REP_ACTIONS = st.dictionaries(
+    st.one_of(st.sampled_from(GENERATORS), st.text(max_size=3)), _or_any(REP_ENTRIES), max_size=4
+)
+EXAMPLE_DOCUMENT = rep_to_dict(build_example_rep(Fraction(1, 3), 0, 0))
+
+
+@st.composite
+def _edited_example(draw):
+    """The example rep's document with up to three values replaced by any
+    JSON value or deleted, each at a drawn depth."""
+    doc = copy.deepcopy(EXAMPLE_DOCUMENT)
+    for _ in range(draw(st.integers(0, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+                node = node[key]
+            elif draw(st.booleans()):
+                node[key] = draw(JSON_VALUES)
+                break
+            else:
+                del node[key]
+                break
+    return doc
+
+
+REP_DOCUMENTS = st.one_of(
+    _or_any(
+        st.fixed_dictionaries(
+            {"vectors": _or_any(REP_VECTORS)},
+            optional={"actions": _or_any(REP_ACTIONS), "extra": JSON_VALUES},
+        )
+    ),
+    _edited_example(),
+)
+
+
+@FUZZ
+@given(REP_DOCUMENTS)
+def test_rep_from_dict_returns_a_rep_or_raises_rep_format_error(data):
+    try:
+        rep = rep_from_dict(data)
+    except RepFormatError:
+        return
+    assert isinstance(rep, BigradedRep)
+    assert rep_from_dict(rep_to_dict(rep)) == rep
+
+
+# -- the CLI ------------------------------------------------------------------------
 
 
 def _one(strategy):

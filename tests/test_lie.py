@@ -31,8 +31,8 @@ from acalg.lie import (
     lie_generator,
     project_hol,
 )
-from acalg.linalg import same_span
 from acalg.scalars import ONE, ZERO
+from vectors import same_span
 
 
 def super_pbw_dims(max_k):

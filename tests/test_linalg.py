@@ -6,8 +6,9 @@ import pytest
 
 from acalg.cohomology import ad_matrix
 from acalg.lie import d_lie, lie_generator
-from acalg.linalg import ExactMatrix, SpanReducer, same_span, solve_columns
+from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
 from acalg.scalars import GaussianRational, ONE, ZERO
+from vectors import apply, as_dense, as_row, columns, same_span, transpose
 
 try:  # sympy is a test-only dependency (the ``test`` extra)
     from sympy import QQ, QQ_I
@@ -46,7 +47,7 @@ def test_rank_row_vs_column_echelon():
     rng = random.Random(3)
     for _ in range(40):
         m = rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == transpose(m).rank()
 
 
 def test_rank_plus_nullity():
@@ -61,35 +62,31 @@ def test_nullspace_vectors_are_in_kernel():
     for _ in range(30):
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         for vec in m.nullspace():
-            assert all(not x for x in m.apply(vec))
+            assert not apply(m, vec)
 
 
 def test_solve_columns():
-    cols = [[ONE, ZERO, ONE], [ZERO, ONE, ONE]]
-    inside = [ONE + ONE, ONE, ONE + ONE + ONE]  # 2*c0 + 1*c1
-    outside = [ONE, ZERO, ZERO]
+    two = ONE + ONE
+    cols = [{0: ONE, 2: ONE}, {1: ONE, 2: ONE}]
+    inside = {0: two, 1: ONE, 2: two + ONE}  # 2*c0 + 1*c1
+    outside = {0: ONE}
     got = solve_columns(cols, [inside, outside])
-    assert got[0] == [ONE + ONE, ONE]
+    assert got[0] == {0: two, 1: ONE}
     assert got[1] is None
     # e1 + e2 is no pivot column of [e1 | e2, e1 + e2], yet outside span(e1)
-    e1, e2 = [ONE, ZERO], [ZERO, ONE]
-    assert solve_columns([e1], [e2, [ONE, ONE], [ONE + ONE, ZERO]]) == [None, None, [ONE + ONE]]
+    e1, e2 = {0: ONE}, {1: ONE}
+    assert solve_columns([e1], [e2, {0: ONE, 1: ONE}, {0: two}]) == [None, None, {0: two}]
 
 
 def test_solve_columns_reproduces_combination():
     rng = random.Random(7)
     for _ in range(25):
         m = rand_matrix(rng, 6, 4)
-        cols = m.columns()
-        coeffs = [GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in cols]
-        rhs = [
-            sum((cols[j][i] * coeffs[j] for j in range(4)), ZERO) for i in range(6)
-        ]
-        sol = solve_columns(cols, [rhs])[0]
+        coeffs = [GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
+        rhs = apply(m, coeffs)
+        sol = solve_columns(columns(m), [rhs])[0]
         assert sol is not None
-        rebuilt = [
-            sum((cols[j][i] * sol[j] for j in range(4)), ZERO) for i in range(6)
-        ]
+        rebuilt = apply(m, sol)
         assert rebuilt == rhs
 
 
@@ -97,27 +94,27 @@ def test_matmul_and_apply():
     a = ExactMatrix([[ONE, ONE], [ZERO, ONE]])
     b = ExactMatrix([[ONE, ZERO], [ONE, ONE]])
     assert (a @ b).rows == ExactMatrix([[ONE + ONE, ONE], [ONE, ONE]]).rows
-    assert a.apply([ONE, ONE]) == [ONE + ONE, ONE]
+    assert (a @ ExactMatrix([[ONE], [ONE]])).rows == [[ONE + ONE], [ONE]]
 
 
 def test_span_reducer_greedy():
-    v1 = [ONE, ZERO, ZERO]
-    v2 = [ZERO, ONE, ZERO]
-    v12 = [ONE, ONE, ZERO]
+    v1 = {0: ONE}
+    v2 = {1: ONE}
+    v12 = {0: ONE, 1: ONE}
     reducer = SpanReducer()
     assert [reducer.add(v) for v in (v1, v2, v12)] == [True, True, False]
     reducer = SpanReducer()
     assert [reducer.add(v) for v in (v12, v12, v1)] == [True, False, True]
     reducer = SpanReducer([v1, v12])
     assert reducer.contains(v2)
-    assert not reducer.contains([ZERO, ZERO, ONE])
+    assert not reducer.contains({2: ONE})
     assert SpanReducer([v1, v2, v12]).rank == 2
 
 
 def test_same_span():
-    v1 = [ONE, ZERO]
-    v2 = [ZERO, ONE]
-    assert same_span([v1, v2], [[ONE, ONE], [ONE, -ONE]])
+    v1 = {0: ONE}
+    v2 = {1: ONE}
+    assert same_span([v1, v2], [{0: ONE, 1: ONE}, {0: ONE, 1: -ONE}])
     assert not same_span([v1], [v2])
     assert not same_span([v1], [v1, v2])
 
@@ -130,7 +127,8 @@ def test_same_span():
 # right of their pivot), so divide_last=True scales it to the convention of
 # ExactMatrix.nullspace: a 1 at the free column.  Rank, the exact kernel
 # vectors and solve_columns (free variables 0, None when inconsistent) must
-# agree on every ad matrix of the three carriers and on random Q(i) matrices.
+# agree on every ad matrix of the three carriers and on random Q(i) matrices;
+# sympy's dense answers are compared as rows.
 
 
 @lru_cache(maxsize=None)
@@ -150,16 +148,16 @@ def domain_matrix(rows, ncols):
 
 
 def sympy_solve(dm, rhs):
-    """Solution of dm * x = rhs with free variables 0, or None."""
-    ncols = dm.shape[1]
-    reduced, pivots = dm.hstack(domain_matrix([[b] for b in rhs], 1)).rref()
+    """Solution of dm * x = rhs (a row) with free variables 0, as a row, or None."""
+    nrows, ncols = dm.shape
+    reduced, pivots = dm.hstack(domain_matrix([[b] for b in as_dense(rhs, nrows)], 1)).rref()
     if ncols in pivots:
         return None
     entries = reduced.to_list()
     out = [ZERO] * ncols
     for r, pivot in enumerate(pivots):
         out[pivot] = from_sympy(entries[r][ncols])
-    return out
+    return as_row(out)
 
 
 def right_hand_sides(matrix: ExactMatrix, rng):
@@ -168,20 +166,20 @@ def right_hand_sides(matrix: ExactMatrix, rng):
     def coeff():
         return GaussianRational(rng.randint(-3, 3), rng.randint(-2, 2))
 
-    inside = [matrix.apply([coeff() for _ in range(matrix.ncols)]) for _ in range(2)]
+    inside = [apply(matrix, [coeff() for _ in range(matrix.ncols)]) for _ in range(2)]
     stray = [GaussianRational(rng.randint(-2, 2)) for _ in range(matrix.nrows)]
-    mixed = [a + b for a, b in zip(stray, matrix.column(0))] if matrix.ncols else stray
-    return inside + [stray, mixed]
+    mixed = [a + row[0] for a, row in zip(stray, matrix.rows)] if matrix.ncols else stray
+    return inside + [as_row(stray), as_row(mixed)]
 
 
 def check_against_sympy(matrix: ExactMatrix, rng):
     dm = domain_matrix(matrix.rows, matrix.ncols)
     assert matrix.rank() == dm.rank()
     expected = [[from_sympy(z) for z in row] for row in dm.nullspace(divide_last=True).to_list()]
-    assert matrix.nullspace() == expected
+    assert matrix.nullspace() == [as_row(vec) for vec in expected]
     if matrix.nrows:
         rhs = right_hand_sides(matrix, rng)
-        assert solve_columns(matrix.columns(), rhs) == [sympy_solve(dm, b) for b in rhs]
+        assert solve_columns(columns(matrix), rhs) == [sympy_solve(dm, b) for b in rhs]
 
 
 DIFFERENTIALS = {"mubar": lambda: lie_generator("mubar"), "mu": lambda: lie_generator("mu"), "d": d_lie}
@@ -229,15 +227,15 @@ def test_random_gaussian_matrices_agree_with_sympy():
 
 
 # -- dict rows and dense vectors ------------------------------------------------
-
-
-def as_dicts(columns):
-    return [{i: x for i, x in enumerate(col) if x} for col in columns]
+#
+# Dense data enters linalg only through the ExactMatrix constructor; every
+# other entry point takes rows.  Both ways in must give the same matrix, and
+# the row readers must agree with ranks of matrices read through it.
 
 
 def assert_dict_columns_agree(matrix: ExactMatrix):
-    dense = ExactMatrix.from_columns(matrix.columns(), nrows=matrix.nrows)
-    sparse = ExactMatrix.from_columns(as_dicts(matrix.columns()), nrows=matrix.nrows)
+    dense = ExactMatrix(matrix.rows, ncols=matrix.ncols)
+    sparse = ExactMatrix.from_columns(columns(matrix), nrows=matrix.nrows)
     assert sparse == dense
     assert sparse.rows == dense.rows == matrix.rows
     assert sparse.rank() == dense.rank()
@@ -259,23 +257,66 @@ def test_dict_columns_build_the_same_random_matrix():
         assert_dict_columns_agree(rand_matrix(rng, rng.randint(1, 7), rng.randint(1, 7)))
 
 
+def rank_of_columns(cols, nrows):
+    """Rank of the dense matrix with these columns, read through the
+    constructor."""
+    return ExactMatrix([as_dense(col, nrows) for col in cols], ncols=nrows).rank()
+
+
 def test_dict_rows_and_dense_vectors_give_the_same_answers():
     rng = random.Random(11)
     for _ in range(30):
         matrix = random_gaussian_matrix(rng)
-        dense = matrix.columns()
-        sparse = as_dicts(dense)
+        n = matrix.nrows
+        sparse = columns(matrix)
         copies = [dict(row) for row in sparse]
         probes = right_hand_sides(matrix, rng)
-        sparse_probes = as_dicts(probes)
-        probe_copies = [dict(row) for row in sparse_probes]
-        from_dense, from_sparse = SpanReducer(), SpanReducer()
-        assert [from_dense.add(v) for v in dense] == [from_sparse.add(v) for v in sparse]
-        assert from_dense._rows == from_sparse._rows
-        assert [from_dense.contains(v) for v in probes] == [
-            from_sparse.contains(v) for v in sparse_probes
+        probe_copies = [dict(row) for row in probes]
+        reducer = SpanReducer()
+        added = [reducer.add(v) for v in sparse]
+        assert added == [
+            rank_of_columns(sparse[: j + 1], n) > rank_of_columns(sparse[:j], n)
+            for j in range(len(sparse))
         ]
-        assert solve_columns(dense, probes) == solve_columns(sparse, sparse_probes)
-        assert solve_columns(sparse, probes) == solve_columns(dense, sparse_probes)
+        rank = rank_of_columns(sparse, n)
+        inside = [rank_of_columns(sparse + [v], n) == rank for v in probes]
+        assert [reducer.contains(v) for v in probes] == inside
+        solved = solve_columns(sparse, probes)
+        assert [s is not None for s in solved] == inside
+        for probe, s in zip(probes, solved):
+            if s is not None:
+                assert apply(matrix, s) == probe
         # the callers' dicts are left as they were
-        assert sparse == copies and sparse_probes == probe_copies
+        assert sparse == copies and probes == probe_copies
+
+
+# -- every returned row is sparse -----------------------------------------------
+
+
+def test_returned_rows_hold_nonzero_entries_only():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    entries = st.sampled_from(
+        [ZERO, ZERO, ZERO, ONE, -ONE, GaussianRational(2), GaussianRational(Fraction(1, 2), 1),
+         GaussianRational(0, -1)]
+    )
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(st.data(), st.integers(0, 6), st.integers(0, 6))
+    def check(data, nrows, ncols):
+        matrix = ExactMatrix(
+            [data.draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)],
+            ncols=ncols,
+        )
+        for row in matrix.nullspace():
+            assert all(x and 0 <= j < ncols for j, x in row.items())
+        rhs = [
+            as_row(data.draw(st.lists(entries, min_size=nrows, max_size=nrows)))
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        for solved in solve_columns(columns(matrix), rhs):
+            if solved is not None:
+                assert all(x and 0 <= j < ncols for j, x in solved.items())
+
+    check()

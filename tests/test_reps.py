@@ -25,7 +25,7 @@ from acalg.errors import (
     UnverifiedRep,
 )
 from acalg.lie import lie_basis
-from acalg.linalg import ExactMatrix, same_span
+from acalg.linalg import ExactMatrix
 from acalg.mc import phi_conjugation_check
 from acalg.reps import (
     _action_matrices,
@@ -42,6 +42,7 @@ from acalg.reps import (
     verify_relations,
 )
 from acalg.scalars import GaussianRational, HALF, ONE, ZERO
+from vectors import same_span
 
 
 def rand_scalar(rng):
