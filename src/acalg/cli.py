@@ -9,12 +9,11 @@ Subcommands wrap the engine:
     mc            Maurer-Cartan checks: check / param / tangent / nullity
     rep           representation tools: verify / example / faithful
 
-Global flags: ``--format {text,json,csv}`` (CSV for tables only),
-``--seed`` for anything randomized, ``--max-degree`` as the enumeration cap
-(default 12).  Exit codes: 0 success, 1 domain error, 2 usage or syntax
-error; every error prints a JSON error object on stdout.  Positional
-scalars and expressions may start with ``-`` (``mc check -1/2 0 0 0``,
-``normal-form -mu``).
+Global flags: ``--format {text,json,csv}`` (CSV for tables only) and
+``--max-degree`` as the enumeration cap (default 12).  Exit codes: 0
+success, 1 domain error, 2 usage or syntax error; every error prints a JSON
+error object on stdout.  Positional scalars and expressions may start with
+``-`` (``mc check -1/2 0 0 0``, ``normal-form -mu``).
 
 ``main`` parses with one parser, built on its first call and reused for the
 life of the process; ``build_parser`` returns a new one on every call.
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact calculus for the almost-complex operator algebra.",
     )
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     parser.add_argument(
         "--max-degree",
         type=int,

@@ -20,6 +20,11 @@ a bounded cache; every differential's map is assembled from them, so the
 map out of degree k also serves as the map into degree k + 1.  Each
 generator must map the carrier into itself, as all four do on g, h and B.
 
+The generator maps and the cohomology data are cached by the carrier object
+itself, so the built-in carriers and any other ``Carrier`` take one path.
+The g and h carriers read each degree's basis, and its rows in A for the
+coordinate solves, from the one record per degree that ``lie`` builds.
+
 ``les_check`` verifies the mapping-cone identity for ad_mubar on B, the skew
 commutation of ad_mubar with left multiplication by delbar, and the
 node-by-node exactness of the induced long sequence on cohomology.
@@ -30,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
+    DEL,
     DELBAR,
     GENERATORS,
     MUBAR,
@@ -47,7 +53,7 @@ from .algebra import (
     words_of_length,
 )
 from .errors import InvalidDegree, NotADifferential, NotWellDefined
-from .lie import LieElement, h_basis, lie_basis
+from .lie import LieElement, _graded_basis
 from .linalg import ExactMatrix, Row, SpanReducer, solve_columns
 from .scalars import ONE, Scalar
 
@@ -66,12 +72,14 @@ class Carrier:
     def dim(self, k: int) -> int:
         return len(self.basis(k))
 
+    def rows(self, k: int) -> Sequence[Row]:
+        """basis(k) as rows in basis_A(k); ``coordinates`` only reads them."""
+        return [row_in_A(b, k) for b in self.basis(k)]
+
     def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
         """Coordinates of degree-k elements in basis(k); raises if outside."""
-        basis = self.basis(k)
-        columns = [row_in_A(b, k) for b in basis]
         rhs = [row_in_A(e, k) for e in elements]
-        solved = solve_columns(columns, rhs)
+        solved = solve_columns(self.rows(k), rhs)
         for n, coords in enumerate(solved):
             if coords is None:
                 raise NotWellDefined(
@@ -88,17 +96,18 @@ class Carrier:
 
 
 class _LieCarrier(Carrier):
-    """A graded Lie algebra, zero in degree 0, with its basis from
-    ``elements(k)`` for k >= 1."""
+    """A graded Lie algebra, zero in degree 0, with the basis grown from the
+    degree-1 generators ``seed`` in each degree k >= 1."""
 
-    def __init__(self, name: str, elements: Callable[[int], Iterable[LieElement]]):
+    def __init__(self, name: str, seed: tuple[str, ...]):
         self.name = name
-        self._elements = elements
+        self.seed = seed
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
-        if k < 1:
-            return ()
-        return tuple(b.value for b in self._elements(k))
+        return _graded_basis(self.seed, k).values if k >= 1 else ()
+
+    def rows(self, k: int) -> Sequence[Row]:
+        return _graded_basis(self.seed, k).rows if k >= 1 else ()
 
 
 @dataclass(frozen=True)
@@ -153,11 +162,9 @@ class _WordCarrier(Carrier):
         return AlgebraElement({monomials[j]: c for j, c in coords.items()})
 
 
-# the basis sources look `lie_basis` and `h_basis` up on each call, so a
-# wrapper installed on this module's names (as bench/tracer.py does) sees them
 CARRIERS = {
-    "g": _LieCarrier("g", lambda k: lie_basis(k)),
-    "h": _LieCarrier("h", lambda k: (b for _, b in h_basis(k))),
+    "g": _LieCarrier("g", GENERATORS),
+    "h": _LieCarrier("h", (DELBAR, DEL)),
     "B": _WordCarrier(),
 }
 
@@ -194,35 +201,26 @@ def _ad_columns(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
     g_j with nonzero coefficients c_j in a; the columns of each ad_{g_j} are
     built once per (generator, degree, carrier) and then only combined.
     """
-    cached = CARRIERS.get(carrier.name) is carrier
     columns: list[Row] = [{} for _ in carrier.basis(k)]
     for sym, coeff in zip(GENERATORS, generator_coefficients(value)):
         if not coeff:
             continue
-        if cached:
-            generator_columns = _generator_columns_cached(sym, k, carrier.name)
-        else:
-            generator_columns = _generator_columns(sym, k, carrier)
-        for column, generator_column in zip(columns, generator_columns):
+        for column, generator_column in zip(columns, _generator_columns(sym, k, carrier)):
             for i, x in generator_column.items():
                 y = coeff * x
                 column[i] = column[i] + y if i in column else y
     return [{i: x for i, x in column.items() if x} for column in columns]
 
 
+# 3 built-in carriers x 4 generators x 32 degrees, the degree bound of
+# `_words`; the rows are shared, so `_ad_columns` only reads them
+@lru_cache(maxsize=384)
 def _generator_columns(sym: str, k: int, carrier: Carrier) -> list[Row]:
     """Coordinates of [g, b] in degree k + 1, for each b in basis(k), for the
     generator g named ``sym``."""
     g = generator_element(sym)
     images = [graded_commutator(g, x) for x in carrier.basis(k)]
     return carrier.coordinates(images, k + 1) if images else []
-
-
-# 3 carriers x 4 generators x 32 degrees, the degree bound of `_words`; the
-# rows are shared, so `_ad_columns` only reads them
-@lru_cache(maxsize=384)
-def _generator_columns_cached(sym: str, k: int, carrier_name: str) -> list[Row]:
-    return _generator_columns(sym, k, CARRIERS[carrier_name])
 
 
 def ad_matrix(a, k: int, carrier="g") -> GradedMap:
@@ -288,19 +286,13 @@ def cohomology_data(a, k: int, carrier="g") -> CohomologyData:
     carrier = get_carrier(carrier)
     value = _as_degree_one(a)
     _check_differential(value)
-    if CARRIERS.get(carrier.name) is carrier:
-        return _cohomology_data_cached(value, k, carrier.name)
-    return _cohomology_data_raw(value, k, carrier)
+    return _cohomology_data_cached(value, k, carrier)
 
 
 # keyed by any differential, so bounded: les_check(10) needs 11 entries and
 # each `cohomology --diff ... --max k` request at most k + 1
 @lru_cache(maxsize=1024)
-def _cohomology_data_cached(value: AlgebraElement, k: int, carrier_name: str) -> CohomologyData:
-    return _cohomology_data_raw(value, k, CARRIERS[carrier_name])
-
-
-def _cohomology_data_raw(value: AlgebraElement, k: int, carrier: Carrier) -> CohomologyData:
+def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> CohomologyData:
     kernel = ad_matrix(value, k, carrier).matrix.nullspace()
     image = _ad_columns(value, k - 1, carrier)
     reducer = SpanReducer(image)
@@ -370,7 +362,7 @@ def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
 
     data: dict[int, CohomologyData] = {}
     for k in range(k_min - 1, k_max + 2):
-        data[k] = cohomology_data(mubar, k, carrier) if carrier.dim(k) else _empty_data(k, carrier)
+        data[k] = cohomology_data(mubar, k, carrier)
 
     raw = lambda x: graded_commutator(delbar, x)
     maps: dict[int, ExactMatrix] = {}
@@ -385,18 +377,6 @@ def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
         image_rank = incoming.rank() if incoming is not None and incoming.ncols else 0
         out[k] = kernel_dim - image_rank
     return out
-
-
-def _empty_data(k: int, carrier: Carrier) -> CohomologyData:
-    return CohomologyData(
-        degree=k,
-        dim=0,
-        representatives=(),
-        rep_coords=[],
-        kernel=[],
-        image=[],
-        carrier=carrier,
-    )
 
 
 # -- the mapping-cone decomposition of B --------------------------------------

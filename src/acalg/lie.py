@@ -7,6 +7,13 @@ built degree by degree as graded commutators [delbar, -] and [del, -] against
 the previous basis, with a greedy exact-rank selection making the result
 deterministic.
 
+Each degree of g or h is built once, into one cached record: its bracket
+words and elements, and, on first use, their values, their rows in
+``basis_A(k)`` and the echelon form of those rows.  ``lie_basis``,
+``h_basis``, the g and h carriers of the cohomology layer and the
+Maurer-Cartan check all read that record, and a ``LieElement`` is
+certified by reducing its row once against the echelon form.
+
 Two derivations of the free Lie algebra on delbar, del are provided:
 
     D_mubar:  delbar -> 0,              del -> -1/2 [delbar, delbar]
@@ -19,7 +26,7 @@ and mu on h and serve as an independent cross-check of the bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .algebra import (
@@ -32,7 +39,7 @@ from .algebra import (
     row_in_A,
 )
 from .errors import InvalidDegree, OutOfDomain
-from .linalg import SpanReducer
+from .linalg import Row, SpanReducer
 from .scalars import Scalar, ZERO
 
 #: nested-tuple bracket expressions over the leaves below
@@ -103,18 +110,39 @@ def d_lie() -> LieElement:
 
 
 def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
-    if value.is_zero():
-        return True
-    reducer = SpanReducer(
-        row_in_A(b.value, degree) for b in lie_basis(degree)
+    return value.is_zero() or _graded_basis(GENERATORS, degree).span.contains(
+        row_in_A(value, degree)
     )
-    return reducer.contains(row_in_A(value, degree))
+
+
+@dataclass(frozen=True)
+class _GradedBasis:
+    """One degree of a graded basis: the (bracket word, element) pairs in
+    selection order, with their values, their rows in ``basis_A(k)`` and
+    the echelon form of those rows built on first use, so that a caller
+    asking only for the pairs builds nothing more."""
+
+    k: int
+    pairs: tuple[tuple[BracketWord, LieElement], ...]
+
+    @cached_property
+    def values(self) -> tuple[AlgebraElement, ...]:
+        return tuple(b.value for _, b in self.pairs)
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """The values as rows in basis_A(k); readers must not mutate them."""
+        return tuple(row_in_A(v, self.k) for v in self.values)
+
+    @cached_property
+    def span(self) -> SpanReducer:
+        return SpanReducer(self.rows)
 
 
 # 2 seeds (g and h) x 32 degrees; dim A_k = 9 * 2^(k-2) keeps far fewer
 # degrees within reach
 @lru_cache(maxsize=64)
-def _graded_basis(seed: tuple[str, ...], k: int) -> tuple[tuple[BracketWord, LieElement], ...]:
+def _graded_basis(seed: tuple[str, ...], k: int) -> _GradedBasis:
     """Degree-k basis grown from the degree-1 generators ``seed``, with the
     bracket word that produced each element.
 
@@ -123,18 +151,18 @@ def _graded_basis(seed: tuple[str, ...], k: int) -> tuple[tuple[BracketWord, Lie
     greedily in that order.
     """
     if k == 1:
-        return tuple((sym, lie_generator(sym)) for sym in seed)
+        return _GradedBasis(1, tuple((sym, lie_generator(sym)) for sym in seed))
     reducer = SpanReducer()
     selected: list[tuple[BracketWord, LieElement]] = []
     for g in (DELBAR, DEL):
         g_elt = generator_element(g)
-        for expr, h in _graded_basis(seed, k - 1):
+        for expr, h in _graded_basis(seed, k - 1).pairs:
             candidate = graded_commutator(g_elt, h.value)
             if candidate.is_zero():
                 continue
             if reducer.add(row_in_A(candidate, k)):
                 selected.append(((g, expr), LieElement(candidate, k, _trusted=True)))
-    return tuple(selected)
+    return _GradedBasis(k, tuple(selected))
 
 
 def lie_basis(k: int) -> tuple[LieElement, ...]:
@@ -142,7 +170,7 @@ def lie_basis(k: int) -> tuple[LieElement, ...]:
     generators."""
     if k < 1:
         raise InvalidDegree(f"lie_basis needs a positive degree, got {k}")
-    return tuple(b for _, b in _graded_basis(GENERATORS, k))
+    return tuple(b for _, b in _graded_basis(GENERATORS, k).pairs)
 
 
 def dim_g(k: int) -> int:
@@ -186,7 +214,7 @@ def h_basis(k: int) -> tuple[tuple[BracketWord, LieElement], ...]:
     """
     if k < 1:
         raise InvalidDegree(f"h_basis needs a positive degree, got {k}")
-    return _graded_basis((DELBAR, DEL), k)
+    return _graded_basis((DELBAR, DEL), k).pairs
 
 
 def dim_h(k: int) -> int:

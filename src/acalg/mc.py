@@ -20,11 +20,8 @@ cohomology are all provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import (
-    DEL,
-    DELBAR,
     GENERATORS,
     AlgebraElement,
     basis_A,
@@ -35,10 +32,10 @@ from .algebra import (
     product,
     row_in_A,
 )
-from .cohomology import ad_matrix, cohomology_dims
+from .cohomology import ad_matrix, cohomology_dims, get_carrier
 from .errors import DegeneratePoint, InternalInconsistency
 from .lie import LieElement, d_lie, project_hol
-from .linalg import Row, SpanReducer, solve_columns
+from .linalg import SpanReducer, solve_columns
 from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
 
@@ -62,25 +59,13 @@ def quadric_values(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:
     return (x * z - y * y, y * w - z * z, x * w - y * z)
 
 
-@lru_cache(maxsize=1)
-def _square_basis_columns() -> tuple[Row, Row, Row]:
-    """[delbar,delbar], [delbar,del] and [del,del] as rows in basis_A(2);
-    ``solve_columns`` only reads them."""
-    delbar, del_ = generator_element(DELBAR), generator_element(DEL)
-    basis = (
-        graded_commutator(delbar, delbar),
-        graded_commutator(delbar, del_),
-        graded_commutator(del_, del_),
-    )
-    return tuple(row_in_A(b, 2) for b in basis)
-
-
 def square_coefficients(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:
     """Coordinates of [a, a] on ([delbar,delbar], [delbar,del], [del,del]),
-    computed through the actual graded commutator in A."""
+    computed through the actual graded commutator in A.  Those three are
+    h's degree-2 basis, in that order."""
     a = g1_element(x, y, z, w).value
     square = graded_commutator(a, a)
-    coords = solve_columns(_square_basis_columns(), [row_in_A(square, 2)])[0]
+    coords = solve_columns(get_carrier("h").rows(2), [row_in_A(square, 2)])[0]
     if coords is None:
         raise InternalInconsistency(f"[a, a] escaped the expected span: {square}")
     return tuple(coords.get(j, ZERO) for j in range(3))

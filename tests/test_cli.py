@@ -264,6 +264,7 @@ def test_minus_values_parse_as_before(capsys):
         ["--format", "xml", "dims", "--max", "2"],
         ["normal-form", "mu", "extra"],
         ["mc", "check", "1", "0"],
+        ["--seed", "7", "dims", "--max", "2"],
     ],
 )
 def test_usage_errors_print_json(capsys, argv):

@@ -221,7 +221,7 @@ COMMAND_LINES = st.one_of(
 ).map(lambda parts: [token for part in parts for token in part])
 
 GLOBAL_FLAGS = st.lists(
-    st.sampled_from([["--format", "json"], ["--format", "csv"], ["--max-degree", "3"], ["--seed", "7"]]),
+    st.sampled_from([["--format", "json"], ["--format", "csv"], ["--max-degree", "3"], ["--format", "text"]]),
     max_size=2,
 ).map(lambda parts: [token for part in parts for token in part])
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from acalg.algebra import (
     MU,
     MUBAR,
     AlgebraElement,
+    basis_A,
     generator_element,
     graded_commutator,
     restrict_to_B,
@@ -31,7 +33,8 @@ from acalg.lie import (
     lie_generator,
     project_hol,
 )
-from acalg.scalars import ONE, ZERO
+from acalg.linalg import SpanReducer
+from acalg.scalars import ONE, ZERO, Scalar
 from vectors import same_span
 
 
@@ -144,6 +147,15 @@ def test_h_and_g_spans_agree_above_degree_one():
 
 
 
+def test_h_degree_two_basis_is_the_three_squares():
+    delbar, del_ = generator_element(DELBAR), generator_element(DEL)
+    assert [b.value for _, b in h_basis(2)] == [
+        graded_commutator(delbar, delbar),
+        graded_commutator(delbar, del_),
+        graded_commutator(del_, del_),
+    ]
+
+
 def test_g_and_h_bases_differ_by_scalars_from_degree_two():
     assert [str(b) for b in lie_basis(1)][1:3] == [str(b) for _, b in h_basis(1)]
     assert str(lie_basis(2)[2]) == "-1*del.del"
@@ -167,6 +179,49 @@ def test_lie_element_certification():
     assert ok.degree == 2
     with pytest.raises(InvalidDegree):
         LieElement(generator_element(DELBAR), 2)
+
+
+def reference_in_lie_span(value, degree):
+    """lie._in_lie_span as it was before each degree kept its echelon form:
+    a fresh elimination of all of lie_basis(degree) on every call.  Kept as
+    the reference the certification must reproduce."""
+    if value.is_zero():
+        return True
+    reducer = SpanReducer(row_in_A(b.value, degree) for b in lie_basis(degree))
+    return reducer.contains(row_in_A(value, degree))
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_certification_matches_the_reference(k):
+    rng = random.Random(k)
+    basis, monomials = lie_basis(k), basis_A(k)
+    accepted = rejected = 0
+    for _ in range(30):
+        value = AlgebraElement.zero()
+        for b in rng.sample(basis, rng.randint(0, min(3, len(basis)))):
+            value = value + b.value.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for mono in rng.sample(monomials, rng.choice((0, 0, 1, 2))):
+            value = value + AlgebraElement({mono: Scalar(rng.choice((-2, -1, 1, 2)))})
+        if reference_in_lie_span(value, k):
+            accepted += 1
+            assert LieElement(value, k).value == value
+        else:
+            rejected += 1
+            with pytest.raises(OutOfDomain):
+                LieElement(value, k)
+    # degree 1 of g is all of A_1
+    assert accepted and (rejected or k == 1)
+
+
+def test_dimensions_build_no_rows_or_spans():
+    _graded_basis.cache_clear()
+    for k in range(1, 9):
+        dim_g(k)
+        dim_h(k)
+    for seed in (GENERATORS, (DELBAR, DEL)):
+        for k in range(1, 9):
+            built = vars(_graded_basis(seed, k))
+            assert "rows" not in built and "span" not in built, (seed, k)
 
 
 def test_ideal_property():
