@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
@@ -173,98 +172,224 @@ class NormalMonomial:
 
 UNIT_MONOMIAL = NormalMonomial()
 
-# rewrite_word works on words encoded as small ints, in the letter order
-# mu < mubar < delbar < del its docstring relies on.
-_LETTERS = (MU, MUBAR, DELBAR, DEL)
-_CODE = {sym: n for n, sym in enumerate(_LETTERS)}
+# -- the rewrite engine ---------------------------------------------------------
+#
+# rewrite_word works on packed data.  A word is a bytes string with one ASCII
+# digit per letter: delbar "0", del "1", mubar "2", mu "3".  A normal monomial
+# is the int  head << 2 | tail index  (the index into TAILS), where head reads
+# the head word as a binary number (delbar 0, del 1) behind a leading 1 that
+# marks its length: int(b"1" + head digits, 2).
 
-#: _RULE_TABLE[a][b]: the encoded REWRITE_RULES entry of the pair (a, b), or
-#: None when the pair is not a redex
-_RULE_TABLE = tuple(
-    tuple(
-        None
-        if (first, second) not in REWRITE_RULES
-        else tuple(
-            (c, tuple(_CODE[s] for s in replacement))
-            for c, replacement in REWRITE_RULES[first, second]
-        )
-        for second in _LETTERS
-    )
-    for first in _LETTERS
-)
-
-EncodedWord = tuple[int, ...]
+_CODE = {sym: n for n, sym in enumerate(HEAD_LETTERS + (MUBAR, MU))}
+_BYTE = {sym: ord(str(n)) for sym, n in _CODE.items()}
 
 
-def _encode(letters: Iterable[str]) -> EncodedWord:
-    try:
-        return tuple([_CODE[sym] for sym in letters])
-    except KeyError as exc:
-        raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+def _bits(head: Word) -> int:
+    """A head word read as a binary number, without the leading 1."""
+    return int("0" + "".join(str(_CODE[s]) for s in head), 2)
 
+
+_HEAD_BYTES = bytes(_BYTE[s] for s in HEAD_LETTERS)
+_TAIL_BYTES = {bytes(_BYTE[s] for s in tail): n for n, tail in enumerate(TAILS)}
+
+
+# A word with no redex is a run of head letters followed by a tail.
+def _normal_prefix(word: bytes) -> tuple[int, int]:
+    """The packed longest normal prefix of a packed word, and its length."""
+    rest = word.lstrip(_HEAD_BYTES)
+    tail = rest[:2]
+    while tail not in _TAIL_BYTES:
+        tail = tail[:-1]
+    run = len(word) - len(rest)
+    return int(b"1" + word[:run], 2) << 2 | _TAIL_BYTES[tail], run + len(tail)
+
+
+def _normal_suffix(word: bytes) -> tuple[int, int]:
+    """The packed longest normal suffix of a packed word, and where it starts."""
+    tail = word[-2:]
+    while tail not in _TAIL_BYTES:
+        tail = tail[1:]
+    body = word[: len(word) - len(tail)]
+    start = len(body.rstrip(_HEAD_BYTES))
+    return int(b"1" + body[start:], 2) << 2 | _TAIL_BYTES[tail], start
+
+
+def _reduce(word: Word) -> dict[Word, int]:
+    """Normal form of a short word, by rewriting its leftmost redex and
+    recursing into every branch; only used to derive the tables below."""
+    for pos in range(len(word) - 1):
+        rules = REWRITE_RULES.get(word[pos : pos + 2])
+        if rules is not None:
+            out: dict[Word, int] = {}
+            for c, replacement in rules:
+                for w, cw in _reduce(word[:pos] + replacement + word[pos + 2 :]).items():
+                    out[w] = out.get(w, 0) + c * cw
+            return {w: c for w, c in out.items() if c}
+    return {word: 1}
+
+
+def _extensions(word: Word) -> tuple[tuple[int, int, int], ...]:
+    """The normal form of ``word`` as (coeff, shift, add) triples: a monomial
+    whose tail ``word`` starts with becomes  (mono >> 2 << shift) | add."""
+    out = []
+    for w, c in _reduce(word).items():
+        mono = NormalMonomial.from_letters(w)
+        add = _bits(mono.head) << 2 | _TAIL_INDEX[mono.tail]
+        out.append((c, len(mono.head) + 2, add))
+    return tuple(out)
+
+
+def _endings(y: str, h: str) -> tuple[tuple[int, int, int], ...]:
+    """The terms of the rule y.h -> -h.y + ... other than -h.y, which must
+    all be head words, as (coeff, length, bits)."""
+    terms = REWRITE_RULES[y, h]
+    assert (-1, (h, y)) in terms, (y, h)
+    out = []
+    for c, w in terms:
+        if w != (h, y):
+            assert all(s in HEAD_LETTERS for s in w), (y, h, w)
+            out.append((c, len(w), _bits(w)))
+    return tuple(out)
+
+
+# No left side of a rule starts with a head letter, so a head never takes
+# part in a rewrite and the normal form of head.w is head.(normal form of w).
+assert not any(first in HEAD_LETTERS for first, _ in REWRITE_RULES)
+
+#: APPEND[x][tail index]: tail.x in normal form, as _extensions triples
+APPEND = {_BYTE[x]: tuple(_extensions(tail + (x,)) for tail in TAILS) for x in _CODE}
+#: TAILPRE[y][tail index]: y.tail in normal form, for y = mubar, mu
+TAILPRE = {_BYTE[y]: tuple(_extensions((y,) + tail) for tail in TAILS) for y in (MUBAR, MU)}
+#: PASS[y][h]: the ending branches y.h leaves when y passes the head letter
+#: h (0 delbar, 1 del), as _endings triples
+PASS = {_BYTE[y]: tuple(_endings(y, h) for h in HEAD_LETTERS) for y in (MUBAR, MU)}
+#: the increment that prepends a head letter to a packed monomial m, once
+#: shifted left by m.bit_length() - 1 (the position of its leading 1)
+_PREPEND = {_BYTE[h]: 1 + _CODE[h] for h in HEAD_LETTERS}
 
 _MONO_CACHE_SIZE = 1 << 16
-_MONO_CACHE: dict[EncodedWord, NormalMonomial] = {}
+_MONO_CACHE: dict[int, NormalMonomial] = {}
 
 
-def _monomial(word: EncodedWord) -> NormalMonomial:
-    mono = _MONO_CACHE.get(word)
+def _monomial(packed: int) -> NormalMonomial:
+    mono = _MONO_CACHE.get(packed)
     if mono is None:
         if len(_MONO_CACHE) >= _MONO_CACHE_SIZE:
             _MONO_CACHE.clear()
-        mono = NormalMonomial.from_letters(_LETTERS[c] for c in word)
-        _MONO_CACHE[word] = mono
+        head = tuple(HEAD_LETTERS[int(b)] for b in bin(packed >> 2)[3:])
+        mono = _MONO_CACHE[packed] = NormalMonomial(head, TAILS[packed & 3])
     return mono
+
+
+_PASSES_SIZE = 1 << 12
+#: _PASSES[y][head]: the ending branches of y passing a whole packed head,
+#: as (coeff, packed monomial with tail index 0); filled by _passing
+_PASSES: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {y: {} for y in PASS}
+
+
+def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
+    passes = _PASSES[y]
+    if len(passes) >= _PASSES_SIZE:
+        passes.clear()
+    out = []
+    sign = 1
+    # bit j of head is the head letter with j letters to its right
+    for j in range(head.bit_length() - 2, -1, -1):
+        for c, length, bits in PASS[y][head >> j & 1]:
+            ended = (head >> j + 1 << length | bits) << j | head & (1 << j) - 1
+            out.append((sign * c, ended << 2))
+        sign = -sign
+    passes[head] = tuple(out)
+    return passes[head]
+
+
+#: shared scalars for the small integer coefficients of normal forms
+_INT_SCALARS = {n: Scalar(n) for n in range(-16, 17) if n}
+
+
+def _element(state: dict[int, int]) -> "AlgebraElement":
+    terms = {}
+    for packed, coeff in state.items():
+        if coeff:
+            scalar = _INT_SCALARS.get(coeff)
+            terms[_MONO_CACHE.get(packed) or _monomial(packed)] = (
+                Scalar(coeff) if scalar is None else scalar
+            )
+    return AlgebraElement._of_nonzero(terms)
 
 
 def rewrite_word(letters: Iterable[str], strategy: str = "leftmost") -> "AlgebraElement":
     """Normal form of a single word, as an element of A.
 
     The result is independent of ``strategy``; both orders are exposed so the
-    confluence of the rule system can be tested rather than assumed.  Each
-    step rewrites the leftmost (or rightmost) redex of a word.
+    confluence of the rule system can be tested rather than assumed.
 
-    The worklist maps each intermediate word to its integer coefficient, so
-    branches that reach the same word add up or cancel and the word is
-    expanded once.  That merge is complete because of the order invariant:
-    with the letters ordered mu < mubar < delbar < del, every rule replaces
-    its redex by strictly larger pairs, so a rewrite step yields a strictly
-    larger word of the same length.  Taking the smallest pending word first
-    therefore reaches a word only after every word that rewrites to it has
-    been expanded.
+    No rule starts with delbar or del, so the head of a normal monomial never
+    takes part in a rewrite, and the normal form of head.w is head times the
+    normal form of w.  Each strategy therefore settles one letter at a time
+    and keeps the normal form of what it has read, merging equal monomials
+    as it goes:
+
+    * leftmost starts from the word's longest normal prefix and appends the
+      letters after it: a monomial head.tail times x is head times the
+      normal form of tail.x (the table APPEND);
+    * rightmost starts from the longest normal suffix and prepends the
+      letters before it.  delbar and del are simply prepended.  mubar or mu
+      passes the head in one sweep: each head letter it passes flips the
+      sign and may leave an ending branch (mubar.del -> -del.mubar -
+      delbar.delbar) in its place (the table PASS); then it meets the tail
+      (the table TAILPRE).
+
+    The tables are derived from REWRITE_RULES at import.  A word with no
+    redex is its own normal form and costs one scan.
 
     Raises ValueError for an unknown strategy or letter.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy: {strategy!r}")
-    word = _encode(letters)
-    last = len(word) - 1
-    positions = range(last) if strategy == "leftmost" else range(last - 1, -1, -1)
-    pending = {word: 1}
-    heap = [word]
-    acc: dict[NormalMonomial, Scalar] = {}
-    while heap:
-        word = heappop(heap)
-        coeff = pending.pop(word)
-        if not coeff:
+    try:
+        word = bytes(map(_BYTE.__getitem__, letters))
+    except KeyError as exc:
+        raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+    if strategy == "leftmost":
+        mono, end = _normal_prefix(word)
+        state = {mono: 1}
+        for x in word[end:]:
+            rows = APPEND[x]
+            folded: dict[int, int] = {}
+            for mono, coeff in state.items():
+                for c, shift, add in rows[mono & 3]:
+                    packed = mono >> 2 << shift | add
+                    folded[packed] = folded.get(packed, 0) + c * coeff
+            state = folded
+        return _element(state)
+    mono, start = _normal_suffix(word)
+    state = {mono: 1}
+    for y in reversed(word[:start]):
+        step = _PREPEND.get(y)
+        if step is not None:
+            state = {
+                mono + (step << mono.bit_length() - 1): coeff
+                for mono, coeff in state.items()
+            }
             continue
-        for pos in positions:
-            rules = _RULE_TABLE[word[pos]][word[pos + 1]]
-            if rules is not None:
-                break
-        else:
-            acc[_monomial(word)] = Scalar(coeff)
-            continue
-        prefix, suffix = word[:pos], word[pos + 2 :]
-        for c, replacement in rules:
-            branch = prefix + replacement + suffix
-            old = pending.get(branch)
-            if old is None:
-                pending[branch] = c * coeff
-                heappush(heap, branch)
-            else:
-                pending[branch] = old + c * coeff
-    return AlgebraElement(acc)
+        passes, tails = _PASSES[y], TAILPRE[y]
+        folded = {}
+        for mono, coeff in state.items():
+            head, tail = mono >> 2, mono & 3
+            passed = passes.get(head)
+            if passed is None:
+                passed = _passing(y, head)
+            for c, ended in passed:
+                packed = ended | tail
+                folded[packed] = folded.get(packed, 0) + c * coeff
+            if head.bit_length() % 2 == 0:  # an odd number of head letters
+                coeff = -coeff
+            for c, shift, add in tails[tail]:
+                packed = head << shift | add
+                folded[packed] = folded.get(packed, 0) + c * coeff
+        state = folded
+    return _element(state)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -290,6 +415,15 @@ class AlgebraElement:
                     data[mono] = coeff
         self._terms = data
         self._hash = None
+
+    @classmethod
+    def _of_nonzero(cls, terms: dict[NormalMonomial, Scalar]) -> "AlgebraElement":
+        """An element over ``terms`` as given: every coefficient must be a
+        nonzero Scalar."""
+        out = object.__new__(cls)
+        out._terms = terms
+        out._hash = None
+        return out
 
     # -- constructors --------------------------------------------------------
 

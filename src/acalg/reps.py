@@ -180,13 +180,19 @@ def act(rep: BigradedRep, a: AlgebraElement) -> ExactMatrix:
             "representation fails the relations; only single-word actions are defined"
         )
     matrices = _action_matrices(rep)
-    total = ExactMatrix.zeros(rep.dim, rep.dim)
-    for mono, coeff in a.terms():
-        partial = ExactMatrix.identity(rep.dim)
-        for sym in reversed(mono.letters):
-            partial = matrices[sym] @ partial
-        total = total + partial.scale(coeff)
-    return total
+    total = None
+    # an exact sum does not depend on the order of the terms
+    for mono, coeff in a._terms.items():
+        letters = mono.letters
+        if letters:
+            partial = matrices[letters[-1]]
+            for sym in letters[-2::-1]:
+                partial = matrices[sym] @ partial
+        else:
+            partial = ExactMatrix.identity(rep.dim)
+        term = partial.scale(coeff)
+        total = term if total is None else total + term
+    return ExactMatrix.zeros(rep.dim, rep.dim) if total is None else total
 
 
 def quotient_faithfulness(rep: BigradedRep) -> bool:

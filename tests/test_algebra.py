@@ -1,17 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import pytest
 
 from acalg.algebra import (
+    APPEND,
     DEL,
     DELBAR,
     GENERATORS,
+    HEAD_LETTERS,
     MU,
     MUBAR,
+    PASS,
     RELATIONS,
     REWRITE_RULES,
+    TAILPRE,
+    TAILS,
     AlgebraElement,
     NormalMonomial,
     basis_A,
@@ -25,7 +31,10 @@ from acalg.algebra import (
     restrict_to_B,
     rewrite_word,
     word_bidegree,
-    _encode,
+    _BYTE,
+    _monomial,
+    _normal_prefix,
+    _normal_suffix,
 )
 from acalg.errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
 from acalg.scalars import GaussianRational, ONE, Scalar
@@ -178,9 +187,103 @@ def test_merged_worklist_matches_per_branch_reference():
             )
 
 
+# The merged worklist that the letter fold replaced, kept verbatim as a second
+# reference, with the encoding it works on.
+_LETTERS = (MU, MUBAR, DELBAR, DEL)
+_CODE = {sym: n for n, sym in enumerate(_LETTERS)}
+_RULE_TABLE = tuple(
+    tuple(
+        None
+        if (first, second) not in REWRITE_RULES
+        else tuple(
+            (c, tuple(_CODE[s] for s in replacement))
+            for c, replacement in REWRITE_RULES[first, second]
+        )
+        for second in _LETTERS
+    )
+    for first in _LETTERS
+)
+
+
+def _encode(letters):
+    try:
+        return tuple([_CODE[sym] for sym in letters])
+    except KeyError as exc:
+        raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
+
+
+def _merged_monomial(word):
+    return NormalMonomial.from_letters(_LETTERS[c] for c in word)
+
+
+def merged_reference_rewrite_word(letters, strategy: str = "leftmost") -> "AlgebraElement":
+    """Normal form of a single word, as an element of A.
+
+    The result is independent of ``strategy``; both orders are exposed so the
+    confluence of the rule system can be tested rather than assumed.  Each
+    step rewrites the leftmost (or rightmost) redex of a word.
+
+    The worklist maps each intermediate word to its integer coefficient, so
+    branches that reach the same word add up or cancel and the word is
+    expanded once.  That merge is complete because of the order invariant:
+    with the letters ordered mu < mubar < delbar < del, every rule replaces
+    its redex by strictly larger pairs, so a rewrite step yields a strictly
+    larger word of the same length.  Taking the smallest pending word first
+    therefore reaches a word only after every word that rewrites to it has
+    been expanded.
+
+    Raises ValueError for an unknown strategy or letter.
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy: {strategy!r}")
+    word = _encode(letters)
+    last = len(word) - 1
+    positions = range(last) if strategy == "leftmost" else range(last - 1, -1, -1)
+    pending = {word: 1}
+    heap = [word]
+    acc: dict[NormalMonomial, Scalar] = {}
+    while heap:
+        word = heappop(heap)
+        coeff = pending.pop(word)
+        if not coeff:
+            continue
+        for pos in positions:
+            rules = _RULE_TABLE[word[pos]][word[pos + 1]]
+            if rules is not None:
+                break
+        else:
+            acc[_merged_monomial(word)] = Scalar(coeff)
+            continue
+        prefix, suffix = word[:pos], word[pos + 2 :]
+        for c, replacement in rules:
+            branch = prefix + replacement + suffix
+            old = pending.get(branch)
+            if old is None:
+                pending[branch] = c * coeff
+                heappush(heap, branch)
+            else:
+                pending[branch] = old + c * coeff
+    return AlgebraElement(acc)
+
+
+def test_letter_fold_matches_merged_worklist_reference():
+    rng = random.Random(9127)
+    words = [w for n in range(0, 8) for w in itertools.product(GENERATORS, repeat=n)]
+    assert len(words) == 21845
+    words += [
+        tuple(rng.choice(GENERATORS) for _ in range(rng.randint(9, 12)))
+        for _ in range(300)
+    ]
+    for word in words:
+        for strategy in ("leftmost", "rightmost"):
+            assert rewrite_word(word, strategy) == merged_reference_rewrite_word(
+                word, strategy
+            ), (word, strategy)
+
+
 def test_rules_replace_each_redex_by_later_words():
-    # the invariant the merged worklist relies on: in the encoded letter
-    # order every replacement is strictly later than its redex
+    # the invariant the merged worklist reference relies on: in its encoded
+    # letter order every replacement is strictly later than its redex
     for redex, replacements in REWRITE_RULES.items():
         for _, replacement in replacements:
             assert _encode(replacement) > _encode(redex), (redex, replacement)
@@ -210,6 +313,63 @@ def test_critical_pairs_resolve():
     assert len(overlaps) == 10
     for word in overlaps:
         assert _one_step(word, 0) == _one_step(word, 1), word
+
+
+# -- the premises of the letter fold ---------------------------------------------
+
+
+def _from_packed(pairs):
+    """An element from (coeff, packed monomial) pairs."""
+    return AlgebraElement.from_terms((_monomial(packed), c) for c, packed in pairs)
+
+
+def test_no_rule_starts_with_a_head_letter():
+    # so a head never takes part in a rewrite
+    assert not [redex for redex in REWRITE_RULES if redex[0] in HEAD_LETTERS]
+
+
+def test_mubar_and_mu_pass_a_head_letter_with_head_word_endings():
+    for y in (MUBAR, MU):
+        for h in HEAD_LETTERS:
+            terms = REWRITE_RULES[y, h]
+            assert (-1, (h, y)) in terms, (y, h)
+            for term in terms:
+                is_pass = term == (-1, (h, y))
+                is_ending = len(term[1]) == 2 and all(s in HEAD_LETTERS for s in term[1])
+                assert is_pass or is_ending, (y, h, term)
+
+
+def test_fold_tables_equal_reference_rewrites():
+    # an entry (c, shift, add) maps the monomial 1.tail to (1 << shift) | add
+    for x in GENERATORS:
+        for n, tail in enumerate(TAILS):
+            entries = APPEND[_BYTE[x]][n]
+            got = _from_packed((c, 1 << shift | add) for c, shift, add in entries)
+            assert got == reference_rewrite_word(tail + (x,)), (tail, x)
+    for y in (MUBAR, MU):
+        for n, tail in enumerate(TAILS):
+            entries = TAILPRE[_BYTE[y]][n]
+            got = _from_packed((c, 1 << shift | add) for c, shift, add in entries)
+            assert got == reference_rewrite_word((y,) + tail), (y, tail)
+        for b, h in enumerate(HEAD_LETTERS):
+            endings = PASS[_BYTE[y]][b]
+            got = _from_packed(
+                (c, (1 << length | pair) << 2) for c, length, pair in endings
+            ) - from_word(h, y)
+            assert got == reference_rewrite_word((y, h)), (y, h)
+
+
+def test_normal_prefix_and_suffix_stop_at_the_first_and_last_redex():
+    for length in range(0, 6):
+        for word in itertools.product(GENERATORS, repeat=length):
+            redexes = [n for n in range(length - 1) if word[n : n + 2] in REWRITE_RULES]
+            packed = bytes(_BYTE[s] for s in word)
+            mono, end = _normal_prefix(packed)
+            assert end == (redexes[0] + 1 if redexes else length), word
+            assert _monomial(mono) == NormalMonomial.from_letters(word[:end]), word
+            mono, start = _normal_suffix(packed)
+            assert start == (redexes[-1] + 1 if redexes else 0), word
+            assert _monomial(mono) == NormalMonomial.from_letters(word[start:]), word
 
 
 @pytest.mark.parametrize(

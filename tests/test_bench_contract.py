@@ -72,3 +72,19 @@ def test_a_traced_run_records_every_layer(capsys):
     for name in tracer.SPAN_NAMES:
         assert traced.calls[name], name
     assert traced.counters["scalars.created"] and traced.counters["scalars.zero_tests"]
+
+
+def test_a_traced_cold_product_records_rewrite_word():
+    # lie_tower reaches the rewrite layer only through product and its memo
+    # cache, so a cold product must still call rewrite_word by the name the
+    # tracer replaces
+    algebra = importlib.import_module("acalg.algebra")
+    algebra._rewrite_cached.cache_clear()
+    traced = tracer.Tracer().install()
+    try:
+        mu, mubar = algebra.generator_element("mu"), algebra.generator_element("mubar")
+        assert len(algebra.product(mu, mubar)) == 3
+    finally:
+        traced.remove()
+    assert traced.calls["algebra.rewrite_word"] == 1
+    assert traced.counters["algebra.rewrite_word.terms_out"] == 3
