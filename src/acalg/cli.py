@@ -242,10 +242,9 @@ def _cmd_cohomology(args) -> None:
     _check_cap(args.max, args.max_degree)
     diff, diff_name = _differential(args.diff)
     carrier = get_carrier(args.carrier)
-    k_min = 0 if carrier.name == "B" else 1
     rows = []
     payload_rows = []
-    for k in range(k_min, args.max + 1):
+    for k in range(carrier.first_degree, args.max + 1):
         data = cohomology_data(diff, k, carrier)
         reps = [render(r) for r in data.representatives]
         if args.reps:

@@ -13,6 +13,12 @@ degree-wise dimension together with deterministic representatives: the
 earliest kernel vectors, in the kernel's reduced-echelon enumeration, that
 complete the image to the kernel.
 
+Each degree keeps one span, the echelon form of its image.  A kernel vector
+is a representative when its residue modulo that span is independent of
+the earlier representatives' residues; a vector's class is its residue
+solved against the representatives' residues; and an induced map checks
+that the image lands in the target's image span.
+
 A degree-1 element is a = x mubar + y delbar + z del + w mu, and [a, -] is
 linear in a, so ad_a = x ad_mubar + y ad_delbar + z ad_del + w ad_mu.  Each
 generator's map is built once per (generator, degree, carrier) and kept in
@@ -34,7 +40,7 @@ node-by-node exactness of the induced long sequence on cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -62,9 +68,11 @@ class Carrier:
     """A graded coefficient space with a deterministic basis per degree.
 
     Coordinates are rows: dicts from a basis index to a nonzero coefficient.
+    ``first_degree`` is the lowest degree whose piece can be nonzero.
     """
 
     name = "?"
+    first_degree = 1
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         raise NotImplementedError
@@ -134,6 +142,7 @@ class _WordCarrier(Carrier):
     """B: all words in delbar, del; degree 0 is spanned by the unit."""
 
     name = "B"
+    first_degree = 0
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         if k < 0:
@@ -240,6 +249,8 @@ class CohomologyData:
     Vectors are rows of coordinates in ``carrier.basis(degree)``: the
     kernel's reduced-echelon basis as ``nullspace`` returns it, the image as
     the columns of the incoming ad map, and the representatives.
+    ``image_span`` is the image's echelon form, the one span kept per
+    degree, and ``residues`` are the representatives' residues modulo it.
     """
 
     degree: int
@@ -248,26 +259,17 @@ class CohomologyData:
     rep_coords: list[Row]
     kernel: list[Row]
     image: list[Row]
+    image_span: SpanReducer
+    residues: list[Row]
     carrier: Carrier
-
-    @cached_property
-    def image_span(self) -> SpanReducer:
-        return SpanReducer(self.image)
-
-    @cached_property
-    def kernel_span(self) -> SpanReducer:
-        # the representatives complete the image to the kernel
-        span = self.image_span.copy()
-        for vec in self.rep_coords:
-            span.add(vec)
-        return span
 
     def classes(self, vectors: Sequence[Row]) -> list[Row | None]:
         """Express kernel vectors as rep-combinations modulo the image, all
-        in one elimination; None for a vector outside the kernel."""
-        solved = solve_columns(self.rep_coords + self.image, vectors)
-        dim = self.dim
-        return [None if s is None else {j: x for j, x in s.items() if j < dim} for s in solved]
+        in one solve against the residues; None for a vector outside the
+        kernel.  Reduction modulo the image is linear with kernel the image,
+        so a vector's residue is the same combination of the residues."""
+        reduced = [self.image_span.reduce(vec) for vec in vectors]
+        return solve_columns(self.residues, reduced)
 
 
 def _check_differential(value: AlgebraElement) -> None:
@@ -295,16 +297,26 @@ def cohomology_data(a, k: int, carrier="g") -> CohomologyData:
 def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> CohomologyData:
     kernel = ad_matrix(value, k, carrier).matrix.nullspace()
     image = _ad_columns(value, k - 1, carrier)
-    reducer = SpanReducer(image)
-    rep_coords = [vec for vec in kernel if reducer.add(vec)]
-    reps = tuple(carrier.element(vec, k) for vec in rep_coords)
+    image_span = SpanReducer(image)
+    # a kernel vector is a representative when its residue modulo the image
+    # is independent of the residues taken before it
+    accepted = SpanReducer()
+    rep_coords: list[Row] = []
+    residues: list[Row] = []
+    for vec in kernel:
+        residue = image_span.reduce(vec)
+        if accepted.add(residue):
+            rep_coords.append(vec)
+            residues.append(residue)
     return CohomologyData(
         degree=k,
         dim=len(rep_coords),
-        representatives=reps,
+        representatives=tuple(carrier.element(vec, k) for vec in rep_coords),
         rep_coords=rep_coords,
         kernel=kernel,
         image=image,
+        image_span=image_span,
+        residues=residues,
         carrier=carrier,
     )
 
@@ -317,8 +329,7 @@ def cohomology(a, k: int, carrier="g") -> tuple[int, tuple[AlgebraElement, ...]]
 
 def cohomology_dims(a, k_max: int, carrier="g") -> dict[int, int]:
     carrier = get_carrier(carrier)
-    k_min = 0 if carrier.name == "B" else 1
-    return {k: cohomology_data(a, k, carrier).dim for k in range(k_min, k_max + 1)}
+    return {k: cohomology_data(a, k, carrier).dim for k in range(carrier.first_degree, k_max + 1)}
 
 
 def induced_map(
@@ -328,25 +339,23 @@ def induced_map(
 ) -> ExactMatrix:
     """Matrix of the map induced on cohomology classes by ``raw_map``.
 
-    Verifies well-definedness first: the raw map must send kernel into
-    kernel and image into image (exactly, at the span level).  The target
-    kernel is spanned by its representatives and its image, so then every
-    representative's image has a class.
+    ``raw_map`` must be linear.  It must send kernel into kernel and image
+    into image (exactly, at the span level), or NotWellDefined is raised,
+    for kernels before images.  The representatives and the image span the
+    source kernel, so it is enough that every representative's image has a
+    class and that the image lands in the target image.
     """
 
     def mapped(vectors: list[Row]) -> list[Row]:
         elements = [raw_map(source.carrier.element(vec, source.degree)) for vec in vectors]
         return target.carrier.coordinates(elements, target.degree)
 
-    for vectors, span, what in (
-        (source.kernel, target.kernel_span, "kernels"),
-        (source.image, target.image_span, "images"),
-    ):
-        if not all(span.contains(vec) for vec in mapped(vectors)):
-            raise NotWellDefined(
-                f"induced map does not preserve {what} at degree {source.degree}"
-            )
-    return ExactMatrix.from_columns(target.classes(mapped(source.rep_coords)), nrows=target.dim)
+    columns = target.classes(mapped(source.rep_coords))
+    if None in columns:
+        raise NotWellDefined(f"induced map does not preserve kernels at degree {source.degree}")
+    if not all(target.image_span.contains(vec) for vec in mapped(source.image)):
+        raise NotWellDefined(f"induced map does not preserve images at degree {source.degree}")
+    return ExactMatrix.from_columns(columns, nrows=target.dim)
 
 
 def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
@@ -358,7 +367,7 @@ def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
     carrier = get_carrier(carrier)
     mubar = generator_element(MUBAR)
     delbar = generator_element(DELBAR)
-    k_min = 0 if carrier.name == "B" else 1
+    k_min = carrier.first_degree
 
     data: dict[int, CohomologyData] = {}
     for k in range(k_min - 1, k_max + 2):
@@ -369,14 +378,9 @@ def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
     for k in range(k_min - 1, k_max + 1):
         maps[k] = induced_map(data[k], data[k + 1], raw)
 
-    out: dict[int, int] = {}
-    for k in range(k_min, k_max + 1):
-        outgoing = maps[k]
-        incoming = maps.get(k - 1)
-        kernel_dim = len(outgoing.nullspace()) if outgoing.ncols else 0
-        image_rank = incoming.rank() if incoming is not None and incoming.ncols else 0
-        out[k] = kernel_dim - image_rank
-    return out
+    return {
+        k: maps[k].ncols - maps[k].rank() - maps[k - 1].rank() for k in range(k_min, k_max + 1)
+    }
 
 
 # -- the mapping-cone decomposition of B --------------------------------------
@@ -498,12 +502,7 @@ def les_check(k_max: int) -> LesReport:
         down[j] = induced_map(data[j], data[j - 1], lambda x, j=j: delta_map(j, x))
 
     def exact(incoming: ExactMatrix, outgoing: ExactMatrix, middle_dim: int) -> bool:
-        if incoming.ncols and outgoing.nrows:
-            if not (outgoing @ incoming).is_zero():
-                return False
-        rank_in = incoming.rank() if incoming.ncols else 0
-        rank_out = outgoing.rank() if outgoing.ncols else 0
-        return rank_in + rank_out == middle_dim
+        return (outgoing @ incoming).is_zero() and incoming.rank() + outgoing.rank() == middle_dim
 
     for j in range(0, k_max):
         # node H^j between delbar from below and delbar into degree j+1

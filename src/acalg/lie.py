@@ -34,6 +34,7 @@ from .algebra import (
     DELBAR,
     GENERATORS,
     AlgebraElement,
+    d_element,
     generator_element,
     graded_commutator,
     row_in_A,
@@ -103,10 +104,7 @@ def lie_generator(sym: str) -> LieElement:
 
 def d_lie() -> LieElement:
     """d = mubar + delbar + del + mu as a degree-1 Lie element."""
-    value = AlgebraElement.zero()
-    for sym in GENERATORS:
-        value = value + generator_element(sym)
-    return LieElement(value, 1, _trusted=True)
+    return LieElement(d_element(), 1, _trusted=True)
 
 
 def _in_lie_span(value: AlgebraElement, degree: int) -> bool:

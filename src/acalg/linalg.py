@@ -11,9 +11,11 @@ through ``SpanReducer``, an incremental reduced row-echelon form over rows.
 Each row has a leading 1 at its pivot (its first nonzero column) and a zero
 in every other row's pivot column.
 
-A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``
-and ``solve_columns``, thin readers of the engine, and the greedy selections
-made with ``SpanReducer.add`` do not depend on the order rows arrive in.
+A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``,
+``solve_columns`` and ``SpanReducer.reduce``, thin readers of the engine, and
+the greedy selections made with ``SpanReducer.add`` do not depend on the
+order rows arrive in.  ``reduce`` gives a vector's residue modulo the span:
+it is linear in the vector and zero exactly on the span.
 """
 
 from __future__ import annotations
@@ -210,12 +212,6 @@ class SpanReducer:
     def rank(self) -> int:
         return len(self._rows)
 
-    def copy(self) -> "SpanReducer":
-        """An independent reducer holding the same span."""
-        out = SpanReducer()
-        out._rows = {pivot: dict(row) for pivot, row in self._rows.items()}
-        return out
-
     @staticmethod
     def _clear(target: Row, source: Row, pivot: int) -> None:
         """target -= target[pivot] * source, where source[pivot] == 1."""
@@ -255,8 +251,13 @@ class SpanReducer:
         self._rows[pivot] = residue
         return True
 
+    def reduce(self, vec: Row) -> Row:
+        """The residue of ``vec`` modulo the span, a new row: zero exactly on
+        the span, and linear in ``vec``.  The caller's row is left as it was."""
+        return self._reduce(dict(vec))
+
     def contains(self, vec: Row) -> bool:
-        return not self._reduce(dict(vec))
+        return not self.reduce(vec)
 
     def add(self, vec: Row) -> bool:
         """Insert ``vec`` if independent; returns True when it was added.

@@ -36,10 +36,10 @@ from acalg.cohomology import (
 )
 from acalg.errors import InvalidDegree, NotADifferential, NotWellDefined
 from acalg.lie import d_lie, lie_generator
-from acalg.linalg import ExactMatrix, SpanReducer
+from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
 from acalg.mc import d_st, g1_coordinates, g1_element
-from acalg.scalars import I
-from vectors import same_span, transpose
+from acalg.scalars import I, ONE
+from vectors import apply, same_span, transpose
 
 def gen(sym):
     return generator_element(sym)
@@ -440,7 +440,7 @@ def test_empty_degree_has_empty_data(carrier, k):
     # frolicher_E1 reads the degree below each carrier's first one
     data = cohomology_data(lie_generator(MUBAR), k, carrier)
     assert (data.degree, data.dim, data.representatives) == (k, 0, ())
-    assert data.rep_coords == data.kernel == data.image == []
+    assert data.rep_coords == data.kernel == data.image == data.residues == []
 
 
 def test_get_carrier_rejects_unknown():
@@ -465,7 +465,54 @@ def test_cohomology_caches_are_bounded():
         assert _cohomology_data_cached.cache_info().currsize <= maxsize
 
 
-# -- induced maps ---------------------------------------------------------------
+# -- classes and induced maps ------------------------------------------------------
+
+
+def reference_rep_coords(data):
+    """The representatives as they were chosen before residues were kept:
+    the kernel vectors a reducer seeded with the image accepts, in order."""
+    reducer = SpanReducer(data.image)
+    return [vec for vec in data.kernel if reducer.add(vec)]
+
+
+def reference_classes(data, vectors):
+    """CohomologyData.classes as it was before it read the image span: one
+    solve against [representatives | image], keeping the representatives'
+    coordinates.  Kept as the reference the residue solve must reproduce."""
+    solved = solve_columns(data.rep_coords + data.image, vectors)
+    dim = data.dim
+    return [None if s is None else {j: x for j, x in s.items() if j < dim} for s in solved]
+
+
+CLASS_DIFFERENTIALS = [
+    lie_generator(MUBAR),
+    lie_generator(MU),
+    d_lie(),
+    d_st(2, 1),
+    d_st(Fraction(1, 2), 3 + I),
+]
+
+
+@pytest.mark.parametrize(
+    "carrier, degrees",
+    [("g", range(1, 7)), ("h", range(1, 7)), ("B", range(0, 9))],
+)
+def test_classes_match_the_reference(carrier, degrees):
+    carrier = get_carrier(carrier)
+    for a in CLASS_DIFFERENTIALS:
+        for k in degrees:
+            where = (str(a.value), carrier.name, k)
+            data = cohomology_data(a, k, carrier)
+            assert data.rep_coords == reference_rep_coords(data), where
+            # a unit vector is off the kernel when its column of ad_a is nonzero
+            hit = {j for _, j, _ in ad_matrix(a, k, carrier).matrix.nonzero()}
+            off_kernel = [{j: ONE} for j in sorted(hit)]
+            vectors = data.kernel + data.image + off_kernel
+            got = data.classes(vectors)
+            assert got == reference_classes(data, vectors), where
+            n = len(data.kernel)
+            assert got[n : n + len(data.image)] == [{}] * len(data.image), where
+            assert got[n + len(data.image) :] == [None] * len(off_kernel), where
 
 
 def reference_induced_map(source, target, raw_map):
@@ -487,7 +534,7 @@ def reference_induced_map(source, target, raw_map):
             raise NotWellDefined(f"induced map does not preserve images at degree {source.degree}")
     columns = []
     for vec in source.rep_coords:
-        cls = target.classes([coordinates(vec)])[0]
+        cls = reference_classes(target, [coordinates(vec)])[0]
         if cls is None:
             raise NotWellDefined("image of a cocycle is not a cocycle")
         columns.append(cls)
@@ -527,6 +574,35 @@ def test_induced_map_rejects_a_target_missing_images():
     source, target = cohomology_data(mubar, 3, "B"), cohomology_data(mubar, 4, "B")
     assert induced_map(source, target, left_delbar).shape == (1, 1)
     # the same kernel, but every kernel vector a representative: no image
-    no_image = replace(target, dim=len(target.kernel), rep_coords=target.kernel, image=[])
+    no_image = replace(
+        target,
+        dim=len(target.kernel),
+        rep_coords=target.kernel,
+        image=[],
+        image_span=SpanReducer(),
+        residues=target.kernel,
+    )
     with pytest.raises(NotWellDefined, match="does not preserve images at degree 3"):
         induced_map(source, no_image, left_delbar)
+
+
+def test_induced_map_checks_kernels_before_images():
+    # on B_2 for ad mubar the image is spanned by the word e_0 and the
+    # representative is e_1 + e_2; e_3 is outside the kernel
+    data = cohomology_data(lie_generator(MUBAR), 2, "B")
+    carrier = data.carrier
+    assert data.image_span.contains({0: ONE}) and data.rep_coords == [{1: ONE, 2: ONE}]
+    assert not SpanReducer(data.kernel).contains({3: ONE})
+
+    def linear_map(columns):
+        matrix = ExactMatrix.from_columns(columns, nrows=carrier.dim(2))
+        return lambda x: carrier.element(apply(matrix, carrier.coordinates([x], 2)[0]), 2)
+
+    # e_0 -> e_1 + e_2: the representative goes to 0, the image leaves the image
+    keeps_reps = linear_map([{1: ONE, 2: ONE}, {}, {}, {}])
+    with pytest.raises(NotWellDefined, match="does not preserve images at degree 2"):
+        induced_map(data, data, keeps_reps)
+    # and e_1 -> e_3 as well: the representative leaves the kernel
+    breaks_both = linear_map([{1: ONE, 2: ONE}, {3: ONE}, {}, {}])
+    with pytest.raises(NotWellDefined, match="does not preserve kernels at degree 2"):
+        induced_map(data, data, breaks_both)

@@ -281,6 +281,17 @@ def test_dict_rows_and_dense_vectors_give_the_same_answers():
         rank = rank_of_columns(sparse, n)
         inside = [rank_of_columns(sparse + [v], n) == rank for v in probes]
         assert [reducer.contains(v) for v in probes] == inside
+        # a residue is zero exactly on the span, differs from its vector by
+        # an element of the span, and is linear in the vector
+        residues = [reducer.reduce(v) for v in probes]
+        assert [not r for r in residues] == inside
+        for probe, residue in zip(probes, residues):
+            moved = [x - y for x, y in zip(as_dense(probe, n), as_dense(residue, n))]
+            assert rank_of_columns(sparse + [as_row(moved)], n) == rank
+        for a, b, ra, rb in zip(probes, probes[1:], residues, residues[1:]):
+            added_up = [x + y for x, y in zip(as_dense(a, n), as_dense(b, n))]
+            reduced_sum = [x + y for x, y in zip(as_dense(ra, n), as_dense(rb, n))]
+            assert reducer.reduce(as_row(added_up)) == as_row(reduced_sum)
         solved = solve_columns(sparse, probes)
         assert [s is not None for s in solved] == inside
         for probe, s in zip(probes, solved):
