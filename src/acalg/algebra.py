@@ -688,5 +688,5 @@ def restrict_to_B(a: AlgebraElement) -> AlgebraElement:
     return a
 
 
-def words_of_length(k: int, alphabet: tuple[str, ...] = HEAD_LETTERS) -> Iterator[Word]:
-    return itertools.product(alphabet, repeat=k)
+def words_of_length(k: int) -> Iterator[Word]:
+    return itertools.product(HEAD_LETTERS, repeat=k)

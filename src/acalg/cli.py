@@ -9,14 +9,17 @@ Subcommands wrap the engine:
     mc            Maurer-Cartan checks: check / param / tangent / nullity
     rep           representation tools: verify / example / faithful
 
-Global flags: ``--format {text,json,csv}`` (CSV for tables only) and
-``--max-degree`` as the enumeration cap (default 12).  Exit codes: 0
-success, 1 domain error, 2 usage or syntax error; every error prints a JSON
-error object on stdout.  Positional scalars and expressions may start with
-``-`` (``mc check -1/2 0 0 0``, ``normal-form -mu``).
+Global flags: ``--format {text,json,csv}`` (CSV for the dims and cohomology
+tables only) and ``--max-degree`` as the enumeration cap (default 12).  Exit
+codes: 0 success, 1 domain error, 2 usage or syntax error; every error prints
+a JSON error object on stdout.  Positional scalars and expressions may start
+with ``-`` (``mc check -1/2 0 0 0``, ``normal-form -mu``).
 
-``main`` parses with one parser, built on its first call and reused for the
-life of the process; ``build_parser`` returns a new one on every call.
+Each subcommand's handler returns its result, and ``main`` renders every
+result in one place: it refuses CSV for a command without a table before the
+handler runs, then prints the result as JSON, a table or text.  ``main``
+parses with one parser, built on its first call and reused for the life of
+the process; ``build_parser`` returns a new one on every call.
 """
 
 from __future__ import annotations
@@ -151,26 +154,21 @@ def _emit_json(obj) -> None:
     _emit(json.dumps(obj, indent=2))
 
 
-def _table(fmt: str, header: list[str], rows: list[list], json_payload) -> None:
-    if fmt == "json":
-        _emit_json(json_payload)
-    elif fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(cell) for cell in row))
-        _emit("\n".join(lines))
-    else:
-        widths = [
-            max(len(str(h)), *(len(str(r[n])) for r in rows)) if rows else len(str(h))
-            for n, h in enumerate(header)
-        ]
-        lines = ["  ".join(str(h).ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
-        _emit("\n".join(lines))
+def _table(fmt: str, header: list[str], rows: list[list]) -> str:
+    if fmt == "csv":
+        return "\n".join(",".join(str(cell) for cell in row) for row in [header, *rows])
+    widths = [
+        max(len(str(h)), *(len(str(r[n])) for r in rows)) if rows else len(str(h))
+        for n, h in enumerate(header)
+    ]
+    return "\n".join(
+        "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)) for row in [header, *rows]
+    )
 
 
 def _check_cap(k: int, cap: int) -> None:
+    if cap < 0:
+        raise UsageError("--max-degree must be nonnegative")
     if k > cap:
         raise UsageError(
             f"--max {k} exceeds the degree cap {cap}; raise --max-degree to allow it"
@@ -201,7 +199,12 @@ def _differential(spec: list[str]):
     raise UsageError(f"unknown differential {' '.join(spec)!r}")
 
 
-def _cmd_dims(args) -> None:
+# Each handler returns (payload, text): ``main`` prints the payload as JSON
+# under --format json and the text otherwise.  A table command returns
+# (header, rows) as its text, and a text of None means JSON in every format.
+
+
+def _cmd_dims(args):
     _check_cap(args.max, args.max_degree)
     if args.carrier == "A":
         dims = {k: dim_A(k) for k in range(args.max + 1)}
@@ -210,35 +213,24 @@ def _cmd_dims(args) -> None:
     else:
         carrier = get_carrier("B")
         dims = {k: carrier.dim(k) for k in range(args.max + 1)}
-    rows = [[k, n] for k, n in dims.items()]
     payload = {
         "carrier": args.carrier,
         "dims": [{"degree": k, "dim": n} for k, n in dims.items()],
     }
-    _table(args.format, ["degree", "dim"], rows, payload)
+    return payload, (["degree", "dim"], [[k, n] for k, n in dims.items()])
 
 
-def _cmd_normal_form(args) -> None:
-    element = parse_element(args.expr)
-    if args.format == "csv":
-        raise UsageError("normal-form has no CSV form")
-    if args.format == "json":
-        _emit_json({"input": args.expr, "normal_form": render(element)})
-    else:
-        _emit(render(element))
+def _cmd_normal_form(args):
+    text = render(parse_element(args.expr))
+    return {"input": args.expr, "normal_form": text}, text
 
 
-def _cmd_bracket(args) -> None:
-    element = graded_commutator(parse_element(args.left), parse_element(args.right))
-    if args.format == "csv":
-        raise UsageError("bracket has no CSV form")
-    if args.format == "json":
-        _emit_json({"left": args.left, "right": args.right, "bracket": render(element)})
-    else:
-        _emit(render(element))
+def _cmd_bracket(args):
+    text = render(graded_commutator(parse_element(args.left), parse_element(args.right)))
+    return {"left": args.left, "right": args.right, "bracket": text}, text
 
 
-def _cmd_cohomology(args) -> None:
+def _cmd_cohomology(args):
     _check_cap(args.max, args.max_degree)
     diff, diff_name = _differential(args.diff)
     carrier = get_carrier(args.carrier)
@@ -246,23 +238,20 @@ def _cmd_cohomology(args) -> None:
     payload_rows = []
     for k in range(carrier.first_degree, args.max + 1):
         data = cohomology_data(diff, k, carrier)
-        reps = [render(r) for r in data.representatives]
-        if args.reps:
-            rows.append([k, data.dim, "; ".join(reps)])
-        else:
-            rows.append([k, data.dim])
+        row = [k, data.dim]
         entry = {"degree": k, "dim": data.dim}
         if args.reps:
+            reps = [render(r) for r in data.representatives]
+            row.append("; ".join(reps))
             entry["representatives"] = reps
+        rows.append(row)
         payload_rows.append(entry)
     header = ["degree", "dim"] + (["representatives"] if args.reps else [])
     payload = {"differential": diff_name, "carrier": args.carrier, "table": payload_rows}
-    _table(args.format, header, rows, payload)
+    return payload, (header, rows)
 
 
-def _cmd_mc(args) -> None:
-    if args.format == "csv":
-        raise UsageError("mc has no CSV form")
+def _cmd_mc(args):
     if args.mc_command == "check":
         coords = [_scalar_arg(getattr(args, name)) for name in ("x", "y", "z", "w")]
         verdict = is_mc(*coords)
@@ -274,48 +263,26 @@ def _cmd_mc(args) -> None:
             "h1_dim": h1_dim,
             "nullity": nullity,
         }
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            _emit(
-                f"is_mc: {verdict.is_mc}\nquadrics: "
-                + ", ".join(str(q) for q in verdict.quadrics)
-                + f"\nh1_dim: {h1_dim}\nnullity: {nullity}"
-            )
-        return
+        quadrics = ", ".join(payload["quadric_values"])
+        return payload, (
+            f"is_mc: {verdict.is_mc}\nquadrics: {quadrics}\nh1_dim: {h1_dim}\nnullity: {nullity}"
+        )
     s = _scalar_arg(args.s)
     t = _scalar_arg(args.t)
+    point = {"s": str(s), "t": str(t)}
     if args.mc_command == "param":
         element = d_st(s, t)
-        payload = {
-            "s": str(s),
-            "t": str(t),
-            "element": render(element.value),
-            "coordinates": [str(c) for c in g1_coordinates(element)],
-        }
-        _emit_json(payload) if args.format == "json" else _emit(render(element.value))
-    elif args.mc_command == "tangent":
-        first, second = tangent_basis(s, t)
-        payload = {
-            "s": str(s),
-            "t": str(t),
-            "tangent": [render(first.value), render(second.value)],
-        }
-        if args.format == "json":
-            _emit_json(payload)
-        else:
-            _emit(render(first.value) + "\n" + render(second.value))
-    elif args.mc_command == "nullity":
-        value = strata_nullity(s, t)
-        if args.format == "json":
-            _emit_json({"s": str(s), "t": str(t), "nullity": value})
-        else:
-            _emit(str(value))
+        text = render(element.value)
+        coordinates = [str(c) for c in g1_coordinates(element)]
+        return {**point, "element": text, "coordinates": coordinates}, text
+    if args.mc_command == "tangent":
+        tangent = [render(v.value) for v in tangent_basis(s, t)]
+        return {**point, "tangent": tangent}, "\n".join(tangent)
+    value = strata_nullity(s, t)
+    return {**point, "nullity": value}, str(value)
 
 
-def _cmd_rep(args) -> None:
-    if args.format == "csv":
-        raise UsageError("rep has no CSV form")
+def _cmd_rep(args):
     if args.rep_command == "verify":
         rep = load_rep(args.file)
         violations = verify_relations(rep)
@@ -332,30 +299,17 @@ def _cmd_rep(args) -> None:
                 for v in violations
             ],
         }
-        if args.format == "json":
-            _emit_json(payload)
-        elif violations:
-            _emit("\n".join(str(v) for v in violations))
-        else:
-            _emit("ok")
-    elif args.rep_command == "example":
-        alpha = _scalar_arg(args.alpha)
-        beta = _scalar_arg(args.beta)
-        gamma = _scalar_arg(args.gamma)
-        rep = build_example_rep(alpha, beta, gamma)
-        if args.emit:
-            save_rep(rep, args.emit)
-            payload = {"written": args.emit, "dim": rep.dim}
-            _emit_json(payload) if args.format == "json" else _emit(f"wrote {args.emit}")
-        else:
-            _emit_json(rep_to_dict(rep))
-    elif args.rep_command == "faithful":
-        rep = load_rep(args.file)
-        value = quotient_faithfulness(rep)
-        if args.format == "json":
-            _emit_json({"file": args.file, "faithful": value})
-        else:
-            _emit(str(value))
+        return payload, "\n".join(str(v) for v in violations) or "ok"
+    if args.rep_command == "example":
+        rep = build_example_rep(
+            _scalar_arg(args.alpha), _scalar_arg(args.beta), _scalar_arg(args.gamma)
+        )
+        if not args.emit:
+            return rep_to_dict(rep), None
+        save_rep(rep, args.emit)
+        return {"written": args.emit, "dim": rep.dim}, f"wrote {args.emit}"
+    value = quotient_faithfulness(load_rep(args.file))
+    return {"file": args.file, "faithful": value}, str(value)
 
 
 _COMMANDS = {
@@ -366,6 +320,9 @@ _COMMANDS = {
     "mc": _cmd_mc,
     "rep": _cmd_rep,
 }
+
+#: the commands whose result is a table, the only results with a CSV form
+_TABLES = ("dims", "cohomology")
 
 
 # built on first use and kept: building takes longer than most requests, and
@@ -378,7 +335,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        _COMMANDS[args.command](args)
+        if args.format == "csv" and args.command not in _TABLES:
+            raise UsageError(f"{args.command} has no CSV form")
+        payload, text = _COMMANDS[args.command](args)
+        if args.format == "json" or text is None:
+            _emit_json(payload)
+        elif isinstance(text, tuple):
+            _emit(_table(args.format, *text))
+        else:
+            _emit(text)
     except SystemExit as exc:
         # only --help exits; a usage error raises UsageError
         return 2 if exc.code else 0

@@ -86,7 +86,11 @@ class Carrier:
 
     def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
         """Coordinates of degree-k elements in basis(k); raises if outside."""
-        rhs = [row_in_A(e, k) for e in elements]
+        try:
+            rhs = [row_in_A(e, k) for e in elements]
+        except KeyError as exc:
+            mono = exc.args[0]
+            raise NotWellDefined(f"degree {mono.degree} term in {self.name}_{k}: {mono}") from None
         solved = solve_columns(self.rows(k), rhs)
         for n, coords in enumerate(solved):
             if coords is None:
@@ -396,7 +400,7 @@ def split_B(k: int, b: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
     restrict_to_B(b)
     x_terms: list[tuple[NormalMonomial, Scalar]] = []
     y_terms: list[tuple[NormalMonomial, Scalar]] = []
-    for mono, coeff in b.terms():
+    for mono, coeff in b._terms.items():
         if mono.degree != k:
             raise InvalidDegree(f"degree {mono.degree} term in split_B({k}): {mono}")
         rest = NormalMonomial(mono.head[1:])

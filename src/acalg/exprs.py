@@ -9,19 +9,23 @@ Grammar:
 
 '.' is accepted as a product separator so that the canonical element text
 ("-1*del.mubar - 1*delbar.delbar") parses back to the element it renders.
-Unicode operator names are accepted as aliases for the ASCII ones.  Every
-expression elaborates to an element of A in normal form; syntax errors carry
-a line and column.
+Unicode operator names are accepted as aliases for the ASCII ones.
+
+``parse`` reads the whole text into a postfix program, a flat list of
+operations, and ``parse_element`` runs that program on a stack to the
+expression's element of A in normal form.  Syntax errors carry a line and
+column.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, GENERATORS, generator_element, graded_commutator
 from .errors import ExprSyntaxError
-from .scalars import GaussianRational, I, Scalar
+from .scalars import GaussianRational, I
 
 _UNICODE_ALIASES = {
     "μ̄": "mubar",   # mu + combining macron
@@ -37,6 +41,12 @@ _SYMBOLS = "+-*.[](),"
 #: deepest nesting of parentheses and brackets the parser accepts; each level
 #: takes three Python frames, so this keeps far below the recursion limit
 MAX_DEPTH = 100
+
+#: one step of a postfix program: ``("value", element)`` pushes an element,
+#: ``("neg",)`` negates the top of the stack, and ``("+",)``, ``("-",)``,
+#: ``("*",)`` and ``("[",)`` pop two operands and push their sum, difference,
+#: product or graded commutator
+Op = tuple[str] | tuple[str, AlgebraElement]
 
 
 @dataclass(frozen=True)
@@ -105,56 +115,15 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-# -- abstract syntax -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScalarLit:
-    value: Scalar
-
-
-@dataclass(frozen=True)
-class Gen:
-    symbol: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    inner: "Expr"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Bracket:
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = ScalarLit | Gen | Neg | Add | Sub | Mul | Bracket
-
-
 class _Parser:
+    """Recursive descent that appends each operation to ``program`` as it
+    reads it, so the program is the expression in postfix order."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
+        self.program: list[Op] = []
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -171,112 +140,103 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}, found {what!r}", tok.line, tok.column)
         return self.advance()
 
-    def parse(self) -> Expr:
-        expr = self.expr()
+    def parse(self) -> list[Op]:
+        self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.column)
-        return expr
+        return self.program
 
-    def expr(self) -> Expr:
-        negate = False
-        if self.peek().kind == "-":
-            self.advance()
-            negate = True
-        node: Expr = self.term()
+    def expr(self) -> None:
+        negate = self.peek().kind == "-"
         if negate:
-            node = Neg(node)
+            self.advance()
+        self.term()
+        if negate:
+            self.program.append(("neg",))
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            right = self.term()
-            node = Add(node, right) if op.kind == "+" else Sub(node, right)
-        return node
+            self.term()
+            self.program.append((op.kind,))
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> None:
+        self.factor()
         while self.peek().kind in ("*", "."):
             self.advance()
-            node = Mul(node, self.factor())
-        return node
+            self.factor()
+            self.program.append(("*",))
 
-    def factor(self) -> Expr:
+    def factor(self) -> None:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
             try:
-                return ScalarLit(GaussianRational(Fraction(tok.text)))
+                scalar = GaussianRational(Fraction(tok.text))
             except ZeroDivisionError:
                 raise ExprSyntaxError(
                     f"zero denominator in {tok.text!r}", tok.line, tok.column
                 ) from None
-        if tok.kind == "name":
+            self.program.append(("value", AlgebraElement.one().scale(scalar)))
+        elif tok.kind == "name":
             self.advance()
             if tok.text == "i":
-                return ScalarLit(I)
-            if tok.text in GENERATORS:
-                return Gen(tok.text)
-            raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
-        if tok.kind in ("[", "("):
+                self.program.append(("value", AlgebraElement.one().scale(I)))
+            elif tok.text in GENERATORS:
+                self.program.append(("value", generator_element(tok.text)))
+            else:
+                raise ExprSyntaxError(f"unknown name {tok.text!r}", tok.line, tok.column)
+        elif tok.kind in ("[", "("):
             self.advance()
             self.depth += 1
             if self.depth > MAX_DEPTH:
                 raise ExprSyntaxError(
                     f"nesting deeper than {MAX_DEPTH} levels", tok.line, tok.column
                 )
+            self.expr()
             if tok.kind == "[":
-                left = self.expr()
                 self.expect(",")
-                node: Expr = Bracket(left, self.expr())
+                self.expr()
                 self.expect("]")
+                self.program.append(("[",))
             else:
-                node = self.expr()
                 self.expect(")")
             self.depth -= 1
-            return node
-        what = tok.text or "end of input"
-        raise ExprSyntaxError(f"expected a factor, found {what!r}", tok.line, tok.column)
+        else:
+            what = tok.text or "end of input"
+            raise ExprSyntaxError(f"expected a factor, found {what!r}", tok.line, tok.column)
 
 
-def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises :class:`ExprSyntaxError`."""
+def parse(text: str) -> list[Op]:
+    """Parse expression text into its postfix program; raises
+    :class:`ExprSyntaxError`.  Nothing is evaluated yet, so a syntax error
+    anywhere in the text is reported before any domain error."""
     return _Parser(_tokenize(text)).parse()
 
 
-def elaborate(expr: Expr) -> AlgebraElement:
-    """Evaluate an AST to its normal-form element of A.
-
-    A chain such as a + b - c * d is a left-nested tree as deep as it is
-    long, so its left spine is walked in a loop, not by recursion; the
-    recursion goes only as deep as the parser's nesting limit.
-    """
-    if isinstance(expr, (Add, Sub, Mul)):
-        spine = []
-        while isinstance(expr, (Add, Sub, Mul)):
-            spine.append(expr)
-            expr = expr.left
-        value = elaborate(expr)
-        for node in reversed(spine):
-            right = elaborate(node.right)
-            if isinstance(node, Add):
-                value = value + right
-            elif isinstance(node, Sub):
-                value = value - right
-            else:
-                value = value * right
-        return value
-    if isinstance(expr, ScalarLit):
-        return AlgebraElement.one().scale(expr.value)
-    if isinstance(expr, Gen):
-        return generator_element(expr.symbol)
-    if isinstance(expr, Neg):
-        return -elaborate(expr.inner)
-    if isinstance(expr, Bracket):
-        return graded_commutator(elaborate(expr.left), elaborate(expr.right))
-    raise TypeError(f"not an expression node: {expr!r}")
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "[": graded_commutator,
+}
 
 
 def parse_element(text: str) -> AlgebraElement:
-    return elaborate(parse(text))
+    """The normal-form element of A that ``text`` denotes.
+
+    The program runs on a stack, so a chain such as a + b - c * d folds in
+    this loop however long it is.
+    """
+    stack: list[AlgebraElement] = []
+    for op in parse(text):
+        if op[0] == "value":
+            stack.append(op[1])
+        elif op[0] == "neg":
+            stack.append(-stack.pop())
+        else:
+            right = stack.pop()
+            stack.append(_BINARY[op[0]](stack.pop(), right))
+    return stack.pop()
 
 
 def render(elt: AlgebraElement) -> str:

@@ -178,7 +178,6 @@ Scalar = GaussianRational
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 HALF = GaussianRational(Fraction(1, 2))
 

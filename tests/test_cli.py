@@ -304,3 +304,40 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     assert passes[0] == passes[1]
     assert [code for code, _, _ in passes[0]] == [2, 0, 0, 0, 0]
     assert built == [1]  # one parser served all ten requests
+
+
+def test_a_negative_degree_cap_is_a_usage_error(capsys):
+    for argv in (["dims", "--max", "0"], ["cohomology", "--diff", "d", "--max", "0"]):
+        code, out = run(capsys, "--format", "json", "--max-degree", "-1", *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "UsageError",
+            "message": "--max-degree must be nonnegative",
+        }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["normal-form", "(("],
+        ["normal-form", "[mubar + delbar*del, mu]"],
+        ["bracket", "((", "mu"],
+        ["mc", "check", "1/0", "0", "0", "0"],
+        ["mc", "tangent", "0", "0"],
+        ["rep", "faithful", "nope.json"],
+    ],
+)
+def test_csv_is_refused_before_the_request_runs(capsys, command):
+    code, out = run(capsys, "--format", "csv", *command)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "UsageError",
+        "message": f"{command[0]} has no CSV form",
+    }
+
+
+def test_a_refused_csv_request_writes_no_file(capsys, tmp_path):
+    target = tmp_path / "family.json"
+    code, _ = run(capsys, "--format", "csv", "rep", "example", "--emit", str(target))
+    assert code == 2
+    assert not target.exists()

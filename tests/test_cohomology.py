@@ -568,6 +568,16 @@ def test_induced_map_rejects_a_map_that_breaks_kernels(k):
         induced_map(source, target, lambda x: product(gen(DEL), x))
 
 
+@pytest.mark.parametrize("carrier", ["g", "h", "B"])
+def test_a_term_of_another_degree_is_not_well_defined_on_every_carrier(carrier):
+    mubar = lie_generator(MUBAR)
+    source, target = cohomology_data(mubar, 2, carrier), cohomology_data(mubar, 3, carrier)
+    with pytest.raises(NotWellDefined, match=f"degree 2 term in {carrier}_3: "):
+        induced_map(source, target, lambda x: x)
+    with pytest.raises(NotWellDefined, match=f"degree 1 term in {carrier}_2: "):
+        get_carrier(carrier).coordinates([gen(DEL)], 2)
+
+
 def test_induced_map_rejects_a_target_missing_images():
     mubar = lie_generator(MUBAR)
     left_delbar = lambda x: product(gen(DELBAR), x)

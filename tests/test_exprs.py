@@ -48,6 +48,27 @@ def test_bracket_requires_homogeneous_operands():
         parse_element("[mubar + delbar*del, mu]")
 
 
+def test_a_syntax_error_comes_before_a_domain_error():
+    # the bracket alone is not homogeneous, but the whole text is parsed first
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_element("[mubar + delbar*del, mu] +")
+    assert (info.value.line, info.value.column) == (1, 27)
+
+
+def test_parse_returns_the_postfix_program():
+    program = parse("-[mubar, 2*del] + mu.mu")
+    assert [op[0] for op in program] == [
+        "value", "value", "value", "*", "[", "neg", "value", "value", "*", "+"
+    ]
+    assert [op[1] for op in program if op[0] == "value"] == [
+        generator_element(MUBAR),
+        AlgebraElement.one().scale(GaussianRational(2)),
+        generator_element(DEL),
+        generator_element("mu"),
+        generator_element("mu"),
+    ]
+
+
 def test_syntax_error_positions():
     with pytest.raises(ExprSyntaxError) as info:
         parse("[del")
