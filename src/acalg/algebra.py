@@ -436,10 +436,6 @@ class AlgebraElement:
         return _ONE_ELEMENT
 
     @classmethod
-    def generator(cls, sym: str) -> "AlgebraElement":
-        return generator_element(sym)
-
-    @classmethod
     def from_word(cls, letters: Iterable[str], coeff=ONE) -> "AlgebraElement":
         return _rewrite_cached(tuple(letters)) * as_scalar(coeff)
 
@@ -469,9 +465,6 @@ class AlgebraElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -487,9 +480,6 @@ class AlgebraElement:
         if len(degs) > 1:
             raise NonHomogeneousOperand(f"element mixes degrees {degs}")
         return degs[0]
-
-    def bidegrees(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted({m.bidegree for m in self._terms}))
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -11,9 +11,11 @@ Subcommands wrap the engine:
 
 Global flags: ``--format {text,json,csv}`` (CSV for the dims and cohomology
 tables only) and ``--max-degree`` as the enumeration cap (default 12).  Exit
-codes: 0 success, 1 domain error, 2 usage or syntax error; every error prints
-a JSON error object on stdout.  Positional scalars and expressions may start
-with ``-`` (``mc check -1/2 0 0 0``, ``normal-form -mu``).
+codes: 0 success, 1 domain error or a ``rep verify`` that finds a violated
+relation, 2 usage or syntax error; every error prints a JSON error object on
+stdout, and a failed ``rep verify`` prints its violations as a success does.
+Positional scalars and expressions may start with ``-`` (``mc check -1/2 0 0
+0``, ``normal-form -mu``).
 
 Each subcommand's handler returns its result, and ``main`` renders every
 result in one place: it refuses CSV for a command without a table before the
@@ -202,6 +204,7 @@ def _differential(spec: list[str]):
 # Each handler returns (payload, text): ``main`` prints the payload as JSON
 # under --format json and the text otherwise.  A table command returns
 # (header, rows) as its text, and a text of None means JSON in every format.
+# A payload whose "ok" is false (a failed check) exits 1.
 
 
 def _cmd_dims(args):
@@ -344,6 +347,7 @@ def main(argv=None) -> int:
             _emit(_table(args.format, *text))
         else:
             _emit(text)
+        return 0 if payload.get("ok", True) else 1
     except SystemExit as exc:
         # only --help exits; a usage error raises UsageError
         return 2 if exc.code else 0
@@ -365,7 +369,6 @@ def main(argv=None) -> int:
     except EngineError as exc:
         _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1
-    return 0
 
 
 if __name__ == "__main__":

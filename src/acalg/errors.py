@@ -63,6 +63,10 @@ class RepFormatError(EngineError):
     """A representation file violates the JSON schema."""
 
 
+class NumberTooLong(EngineError):
+    """A result holds a number with more digits than Python writes as text."""
+
+
 class ExprSyntaxError(EngineError):
     """Syntax error in an operator expression, with source position."""
 

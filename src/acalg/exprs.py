@@ -11,21 +11,25 @@ Grammar:
 ("-1*del.mubar - 1*delbar.delbar") parses back to the element it renders.
 Unicode operator names are accepted as aliases for the ASCII ones.
 
-``parse`` reads the whole text into a postfix program, a flat list of
-operations, and ``parse_element`` runs that program on a stack to the
-expression's element of A in normal form.  Syntax errors carry a line and
-column.
+One regular expression scans the text; a number is what ``Fraction`` reads
+(``scalars.UNSIGNED_RATIONAL``: decimal digits, so not ``²``).  ``parse``
+reads the whole text into a postfix program, a flat list of operations, and
+``parse_element`` runs that program on a stack to the expression's element
+of A in normal form.  Syntax errors carry a line and a column, both counted
+in characters from 1.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+import re
+import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, GENERATORS, generator_element, graded_commutator
 from .errors import ExprSyntaxError
-from .scalars import GaussianRational, I
+from .scalars import UNSIGNED_RATIONAL, GaussianRational, I
 
 _UNICODE_ALIASES = {
     "μ̄": "mubar",   # mu + combining macron
@@ -35,8 +39,6 @@ _UNICODE_ALIASES = {
     "µ̄": "mubar",   # micro sign variant
     "µ": "mu",
 }
-
-_SYMBOLS = "+-*.[](),"
 
 #: deepest nesting of parentheses and brackets the parser accepts; each level
 #: takes three Python frames, so this keeps far below the recursion limit
@@ -49,69 +51,40 @@ MAX_DEPTH = 100
 Op = tuple[str] | tuple[str, AlgebraElement]
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'num', 'name', one of _SYMBOLS, or 'end'
+class Token(NamedTuple):
+    kind: str  # 'num', 'name', one of the symbols +-*.[](), or 'end'
     text: str
     line: int
     column: int
 
 
+# one alternative per token kind, tried in this order; the last matches any
+# character the others leave, which is an error
+_TOKEN_RE = re.compile(
+    rf"(?P<space>\s+)|(?P<num>{UNSIGNED_RATIONAL})|(?P<alias>[μ∂µ]\u0304?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<symbol>[-+*.\[\](),])|(?P<other>.)"
+)
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    n = 0
-    length = len(text)
-    while n < length:
-        ch = text[n]
-        if ch == "\n":
-            line += 1
-            col = 1
-            n += 1
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for match in _TOKEN_RE.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = match.start() + word.rindex("\n") + 1
             continue
-        if ch.isspace():
-            n += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            m = n
-            while m < length and text[m].isdigit():
-                m += 1
-            if m < length and text[m] == "/" and m + 1 < length and text[m + 1].isdigit():
-                m += 1
-                while m < length and text[m].isdigit():
-                    m += 1
-            tokens.append(Token("num", text[n:m], line, start_col))
-            col += m - n
-            n = m
-            continue
-        if ch in ("μ", "∂", "µ"):
-            m = n + 1
-            if m < length and text[m] == "̄":
-                m += 1
-            word = _UNICODE_ALIASES.get(text[n:m])
-            if word is None:
-                raise ExprSyntaxError(f"unknown operator symbol {text[n:m]!r}", line, start_col)
-            tokens.append(Token("name", word, line, start_col))
-            col += m - n
-            n = m
-            continue
-        if ch.isalpha() and ch.isascii():
-            m = n
-            while m < length and text[m].isascii() and (text[m].isalnum() or text[m] == "_"):
-                m += 1
-            tokens.append(Token("name", text[n:m], line, start_col))
-            col += m - n
-            n = m
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, start_col))
-            n += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("end", "", line, col))
+        column = match.start() - line_start + 1
+        if kind == "alias":
+            kind, word = "name", _UNICODE_ALIASES[word]
+        elif kind == "symbol":
+            kind = word
+        elif kind == "other":
+            raise ExprSyntaxError(f"unexpected character {word!r}", line, column)
+        tokens.append(Token(kind, word, line, column))
+    tokens.append(Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -172,10 +145,12 @@ class _Parser:
             self.advance()
             try:
                 scalar = GaussianRational(Fraction(tok.text))
-            except ZeroDivisionError:
-                raise ExprSyntaxError(
-                    f"zero denominator in {tok.text!r}", tok.line, tok.column
-                ) from None
+            except (ZeroDivisionError, ValueError) as exc:  # ValueError: too many digits
+                if isinstance(exc, ZeroDivisionError):
+                    problem = f"zero denominator in {tok.text!r}"
+                else:
+                    problem = f"number with more than {sys.get_int_max_str_digits()} digits"
+                raise ExprSyntaxError(problem, tok.line, tok.column) from None
             self.program.append(("value", AlgebraElement.one().scale(scalar)))
         elif tok.kind == "name":
             self.advance()

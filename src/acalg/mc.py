@@ -34,7 +34,7 @@ from .algebra import (
 )
 from .cohomology import ad_matrix, cohomology_dims, get_carrier
 from .errors import DegeneratePoint, InternalInconsistency
-from .lie import LieElement, d_lie, project_hol
+from .lie import LieElement, d_lie
 from .linalg import SpanReducer, solve_columns
 from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
@@ -170,14 +170,11 @@ def strata_nullity(s, t) -> int:
 
 def quotient_nullity(a: LieElement) -> tuple[int, int]:
     """(dim of degree-1 cocycles, nullity of the quotient map on them)."""
-    kernel = kernel_g1(a)
+    kernel = ad_matrix(a, 1, "g").matrix.nullspace()
     reducer = SpanReducer()
-    rank = 0
-    for vec in kernel:
-        hol = project_hol(vec)
-        row = {j: c for j, c in ((0, hol.coeff_delbar), (1, hol.coeff_del)) if c}
-        if reducer.add(row):
-            rank += 1
+    # g1's basis is GENERATORS in order, so the quotient keeps the delbar and
+    # del coordinates, columns 1 and 2
+    rank = sum(reducer.add({j: c for j, c in row.items() if j in (1, 2)}) for row in kernel)
     return len(kernel), len(kernel) - rank
 
 

@@ -58,9 +58,6 @@ class BigradedRep:
     bidegrees: tuple[tuple[int, int], ...]
     actions: tuple[tuple[str, tuple[ActionEntry, ...]], ...]
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def action_entries(self, sym: str) -> tuple[ActionEntry, ...]:
         for name, entries in self.actions:
             if name == sym:

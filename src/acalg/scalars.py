@@ -29,7 +29,10 @@ Text format (used by the CLI and the representation files):
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+
+from .errors import NumberTooLong
 
 
 def _part(x):
@@ -190,16 +193,25 @@ def as_scalar(x) -> Scalar:
 
 
 def _frac_text(f: int | Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    """The one place an exact number becomes text."""
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # more digits than Python converts to text
+        raise NumberTooLong(
+            f"a result has a number of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+#: an unsigned rational as ``Fraction`` reads it: decimal digits, then
+#: optionally '/' and more digits; the expression scanner reads numbers by it
+UNSIGNED_RATIONAL = r"\d+(?:/\d+)?"
 # the real part may not end inside a number or right before '*': otherwise
 # "12*i" would split into the real part 1 and the imaginary part 2*i
 _SCALAR_RE = re.compile(
-    rf"^(?P<re>{_RAT}(?![\d/*]))?(?P<im>(?:(?P<imsign>[+-])?(?:(?P<imcoef>\d+(?:/\d+)?)\*)?i))?$"
+    rf"^(?P<re>[+-]?{UNSIGNED_RATIONAL}(?![\d/*]))?"
+    rf"(?P<im>(?:(?P<imsign>[+-])?(?:(?P<imcoef>{UNSIGNED_RATIONAL})\*)?i))?$"
 )
 
 

@@ -170,6 +170,52 @@ def test_zero_denominator_is_a_syntax_error(capsys, argv, column):
         assert err["column"] == column
 
 
+NINES_3000 = "9" * 3000
+
+
+@pytest.mark.parametrize(
+    "argv, code, error_type",
+    [
+        # Python reads and writes ints of at most 4300 digits as text
+        (["normal-form", "9" * 5000 + "*mu"], 2, "ExprSyntaxError"),
+        (["normal-form", f"{NINES_3000}*{NINES_3000}*mu"], 1, "NumberTooLong"),
+        (["mc", "check", NINES_3000, NINES_3000, "0", "0"], 1, "NumberTooLong"),
+        (["--format", "json", "mc", "param", NINES_3000, "1"], 1, "NumberTooLong"),
+        (["mc", "check", "9" * 5000, "0", "0", "0"], 2, "UsageError"),
+    ],
+)
+def test_numbers_too_long_for_text_are_json_errors(capsys, argv, code, error_type):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["type"] == error_type
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("text, column", [("²", 1), ("1/²", 2), ("①", 1)])
+def test_superscript_and_circled_digits_are_syntax_errors(capsys, text, column):
+    assert main(["normal-form", text]) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert (error["type"], error["line"], error["column"]) == ("ExprSyntaxError", 1, column)
+    assert captured.err == ""
+
+
+def test_rep_verify_exits_one_when_a_relation_fails(capsys, tmp_path):
+    target = tmp_path / "family.json"
+    assert run(capsys, "rep", "example", "--beta", "1", "--emit", str(target))[0] == 0
+    document = json.loads(target.read_text())
+    entry = next(iter(document["actions"].values()))[0]
+    entry["coeff"] = "7"
+    target.write_text(json.dumps(document))
+    code, out = run(capsys, "--format", "json", "rep", "verify", str(target))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False and payload["violations"]
+    code, out = run(capsys, "rep", "verify", str(target))
+    assert code == 1
+    assert out.strip() != "ok"
+
+
 def test_multi_digit_imaginary_point(capsys):
     code, out = run(capsys, "--format", "json", "mc", "check", "--", "0", "12*i", "0", "0")
     assert code == 0

@@ -164,12 +164,12 @@ REQUESTS = {
     ),
     "rep-verify-broken-text": (
         ["rep", "verify", "broken.json"],
-        0,
+        1,
         "9ff47ddb8effedddb567f7cd6a123915874006319961281330db279d68b14a31",
     ),
     "rep-verify-broken-json": (
         ["--format", "json", "rep", "verify", "broken.json"],
-        0,
+        1,
         "f57936b5be0a0959e6a52feff7367f2e3a23a12adcd5e4c7c56e1a0d1f1c4853",
     ),
     "rep-faithful-text": (

@@ -55,7 +55,7 @@ def test_scalar_text_round_trips(re_part, im_part):
 
 EXPR_PIECES = [
     "mu", "mubar", "del", "delbar", "μ̄", "∂̄", "∂", "μ", "i", "1/2", "3", "0",
-    "1/0", "+", "-", "*", ".", "[", "]", "(", ")", ",", " ", "x", "\n",
+    "1/0", "+", "-", "*", ".", "[", "]", "(", ")", ",", " ", "x", "\n", "²", "①",
 ]
 
 

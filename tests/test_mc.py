@@ -14,7 +14,7 @@ from acalg.algebra import (
     product,
 )
 from acalg.errors import DegeneratePoint
-from acalg.lie import d_lie, lie_generator
+from acalg.lie import d_lie, lie_generator, project_hol
 from acalg.linalg import SpanReducer
 from acalg.mc import (
     MCPoint,
@@ -22,11 +22,13 @@ from acalg.mc import (
     dJ_st,
     d_st,
     g1_coordinates,
+    g1_element,
     is_mc,
     kernel_g1,
     phi_conjugation_check,
     phi_scale,
     quadric_values,
+    quotient_nullity,
     square_coefficients,
     strata_nullity,
     tangent_basis,
@@ -319,6 +321,21 @@ def test_strata_nullity_generic():
         s = rand_scalar(rng, allow_zero=False)
         t = rand_scalar(rng, allow_zero=False)
         assert strata_nullity(s, t) == 0
+
+
+def test_quotient_nullity_matches_the_projected_kernel():
+    # the quotient map through project_hol on each kernel element, against
+    # quotient_nullity's direct read of the delbar and del coordinates
+    rng = random.Random(314)
+    points = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)]
+    points += [tuple(rand_scalar(rng) for _ in range(4)) for _ in range(6)]
+    points += [g1_coordinates(d_st(s, t)) for s, t in ((1, 0), (0, 1), (2, 1), (I, 1))]
+    for point in points:
+        a = g1_element(*point)
+        kernel = kernel_g1(a)
+        reducer = SpanReducer()
+        rank = sum(reducer.add(as_row(project_hol(v).coords())) for v in kernel)
+        assert quotient_nullity(a) == (len(kernel), len(kernel) - rank)
 
 
 def test_kernel_at_origin_is_everything():
