@@ -449,6 +449,73 @@ class LesReport:
         return f"FAIL {bad.name} at degree {bad.degree}: {bad.witness}"
 
 
+def _combine(rows: Sequence[Row], coeffs: Row) -> Row:
+    """sum_i coeffs[i] * rows[i], holding nonzero entries only."""
+    out: Row = {}
+    for i, c in coeffs.items():
+        for j, x in rows[i].items():
+            y = c * x
+            out[j] = out[j] + y if j in out else y
+    return {j: x for j, x in out.items() if x}
+
+
+def _cone_failures(
+    k_max: int, ad_columns: Callable[[int], Sequence[Row]]
+) -> tuple[list[str | None], list[str | None]]:
+    """The witnesses of les_check's parts (a) and (b) for B_0 .. B_{k_max - 1},
+    None where a degree passes: the first failing word of each degree.
+
+    Everything is a word row: ``ad_columns(k)`` are the rows of ad_mubar out
+    of B_k, left multiplication by delbar and del is read off ``product``
+    word by word, and a row of B_{k+2} splits by the first letter of each
+    word, the rest looked up through the word index of B_{k+1}.
+    """
+    carrier = CARRIERS["B"]
+
+    def left(g: str, k: int) -> list[Row]:
+        """The rows of b -> g b on B_k, in B_{k+1}."""
+        g_elt = generator_element(g)
+        return carrier.coordinates([product(g_elt, b) for b in carrier.basis(k)], k + 1)
+
+    delbar_rows = [left(DELBAR, k) for k in range(k_max + 1)]
+    del_rows = [left(DEL, k) for k in range(k_max)]
+    block_fails: list[str | None] = []
+    skew_fails: list[str | None] = []
+    for k in range(0, k_max):
+        # each word of B_{k+2} as its first letter and the rest's index in B_{k+1}
+        rest = _words(k + 1).index
+        split_at = [
+            (mono.head[0], rest[NormalMonomial(mono.head[1:])]) for mono in _words(k + 2).monomials
+        ]
+
+        def split(row: Row) -> tuple[Row, Row]:
+            """The rows of (x, y) with row = del x + delbar y."""
+            parts: dict[str, Row] = {DEL: {}, DELBAR: {}}
+            for j, c in row.items():
+                letter, i = split_at[j]
+                parts[letter][i] = c
+            return parts[DEL], parts[DELBAR]
+
+        block_fail = skew_fail = None
+        ad, ad_up = ad_columns(k), ad_columns(k + 1)
+        for n, (ad_base, delbar_base, del_base) in enumerate(zip(ad, delbar_rows[k], del_rows[k])):
+            minus_ad_base = {j: -c for j, c in ad_base.items()}
+            ad_delbar_base = _combine(ad_up, delbar_base)
+            if block_fail is None and (
+                split(_combine(ad_up, del_base))
+                != (minus_ad_base, {j: -c for j, c in delbar_base.items()})
+                or split(ad_delbar_base) != ({}, minus_ad_base)
+            ):
+                block_fail = f"block identity fails on {carrier.basis(k)[n]}"
+            if skew_fail is None and ad_delbar_base != _combine(delbar_rows[k + 1], minus_ad_base):
+                skew_fail = f"skew-commutation fails on {carrier.basis(k)[n]}"
+            if block_fail and skew_fail:
+                break
+        block_fails.append(block_fail)
+        skew_fails.append(skew_fail)
+    return block_fails, skew_fails
+
+
 def les_check(k_max: int) -> LesReport:
     """Verify the cone decomposition of ad_mubar on B and the induced
     long exact sequence, through degree ``k_max``."""
@@ -458,35 +525,13 @@ def les_check(k_max: int) -> LesReport:
     carrier = get_carrier("B")
     mubar = generator_element(MUBAR)
     delbar = generator_element(DELBAR)
-    del_ = generator_element("del")
 
-    def ad_mubar(x: AlgebraElement) -> AlgebraElement:
-        return graded_commutator(mubar, x)
-
-    # One pass over the bases of B_0 .. B_{k_max - 1} serves (a) and (b), so
-    # each base's images are computed once (two separate passes cost cone_B
-    # 6 % of its wall_s); the first failing base of each degree is the witness:
     # (a) the 2x2 block identity through the splitting (x, y) -> del x + delbar y
     # (b) ad_mubar skew commutes with left multiplication by delbar
-    block_fails: list[str | None] = []
-    skew_fails: list[str | None] = []
-    for k in range(0, k_max):
-        block_fail = skew_fail = None
-        for base in carrier.basis(k):
-            ad_base = ad_mubar(base)
-            delbar_base = product(delbar, base)
-            ad_delbar_base = ad_mubar(delbar_base)
-            if block_fail is None and (
-                split_B(k + 2, ad_mubar(product(del_, base))) != (-ad_base, -delbar_base)
-                or split_B(k + 2, ad_delbar_base) != (AlgebraElement.zero(), -ad_base)
-            ):
-                block_fail = f"block identity fails on {base}"
-            if skew_fail is None and ad_delbar_base != -product(delbar, ad_base):
-                skew_fail = f"skew-commutation fails on {base}"
-            if block_fail and skew_fail:
-                break
-        block_fails.append(block_fail)
-        skew_fails.append(skew_fail)
+    # both read ad_mubar off its cached word rows, which (c) builds anyway
+    block_fails, skew_fails = _cone_failures(
+        k_max, lambda k: _generator_columns(MUBAR, k, carrier)
+    )
     for k, witness in enumerate(block_fails, start=1):
         report.add("cone-block-identity", k, witness is None, witness)
     for k, witness in enumerate(skew_fails):

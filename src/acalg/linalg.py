@@ -16,15 +16,45 @@ A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``,
 the greedy selections made with ``SpanReducer.add`` do not depend on the
 order rows arrive in.  ``reduce`` gives a vector's residue modulo the span:
 it is linear in the vector and zero exactly on the span.
+
+The engine computes on Python's own numbers.  Nearly every entry it meets
+is real, and most are small integers, so a real entry is kept as its part,
+an ``int`` or a ``Fraction``, and only an entry with a nonzero imaginary part
+stays a ``GaussianRational``, which takes int and Fraction operands on both
+sides; one code path serves real and mixed rows.  Rows are lowered to that
+form where they enter the engine (``SpanReducer.add``, ``reduce`` and
+``contains``, ``ExactMatrix``'s eliminations and ``solve_columns``) and
+raised back to canonical scalars where they leave it (``reduce``,
+``nullspace`` and ``solve_columns``).  ``ExactMatrix`` stores scalars.
+Dividing by a pivot stays exact: -1 negates the row, an int pivot divides
+int entries by ``divmod`` (an int, or a Fraction when inexact), and every
+other case divides through ``Fraction`` or ``GaussianRational``, so no ``/``
+has two ints as operands.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, GaussianRational, Scalar, as_scalar
 
 Row = dict[int, Scalar]  # index -> nonzero entry
+
+
+def _lower(x):
+    """An entry as the engine keeps it: an int when integral, a Fraction when
+    real and not integral, and a GaussianRational only when not real."""
+    if type(x) is GaussianRational:
+        return x.re if not x.im else x
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _lowered(row: Row) -> dict:
+    """A lowered copy of a row of scalars."""
+    return {j: x.re if not x.im else x for j, x in row.items()}
 
 
 class ExactMatrix:
@@ -136,7 +166,7 @@ class ExactMatrix:
     def _echelon(self) -> "SpanReducer":
         reducer = SpanReducer()
         for row in self._rows:
-            reducer._insert(dict(row))
+            reducer._insert(_lowered(row))
         return reducer
 
     def rank(self) -> int:
@@ -152,7 +182,7 @@ class ExactMatrix:
         for pivot, row in pivot_rows.items():
             for j, x in row.items():
                 if j != pivot:
-                    kernel[j][pivot] = -x
+                    kernel[j][pivot] = as_scalar(-x)
         return list(kernel.values())
 
 
@@ -175,9 +205,9 @@ def solve_columns(
         return []
     ncols = len(basis_columns)
     columns = list(basis_columns) + list(rhs_columns)
-    by_row: dict[int, Row] = {}
+    by_row: dict[int, dict] = {}
     for j, col in enumerate(columns):
-        for i, x in col.items():
+        for i, x in _lowered(col).items():
             by_row.setdefault(i, {})[j] = x
     reducer = SpanReducer()
     for row in by_row.values():
@@ -190,21 +220,22 @@ def solve_columns(
         if any(col in row for row in outside):
             out.append(None)
         else:
-            out.append({pivot: row[col] for pivot, row in inside if col in row})
+            out.append({pivot: as_scalar(row[col]) for pivot, row in inside if col in row})
     return out
 
 
 class SpanReducer:
     """Incremental reduced row-echelon form of the vectors added so far.
 
-    Rows are dicts of nonzero entries keyed by column.  A vector is reduced
-    by subtracting its entry at each pivot column times that pivot row; a
-    nonzero residue is independent and (on ``add``) becomes a new row with a
-    leading 1, whose pivot column is then cleared from every older row.
+    Rows are dicts of nonzero entries keyed by column, kept lowered.  A
+    vector is reduced by subtracting its entry at each pivot column times that
+    pivot row; a nonzero residue is independent and (on ``add``) becomes a new
+    row with a leading 1, whose pivot column is then cleared from every older
+    row.
     """
 
     def __init__(self, vectors: Iterable[Row] = ()):
-        self._rows: dict[int, Row] = {}  # pivot column -> reduced row
+        self._rows: dict[int, dict] = {}  # pivot column -> reduced row
         for vec in vectors:
             self.add(vec)
 
@@ -213,38 +244,44 @@ class SpanReducer:
         return len(self._rows)
 
     @staticmethod
-    def _clear(target: Row, source: Row, pivot: int) -> None:
+    def _clear(target: dict, source: dict, pivot: int) -> None:
         """target -= target[pivot] * source, where source[pivot] == 1."""
         factor = target.pop(pivot)
         for j, x in source.items():
             if j == pivot:
                 continue
             y = target.get(j)
-            if y is None:
-                target[j] = -(factor * x)
+            y = -(factor * x) if y is None else y - factor * x
+            if type(y) is not int:
+                y = _lower(y)
+            if y:
+                target[j] = y
             else:
-                y = y - factor * x
-                if y:
-                    target[j] = y
-                else:
-                    del target[j]
+                del target[j]
 
-    def _reduce(self, row: Row) -> Row:
+    def _reduce(self, row: dict) -> dict:
         # pivot rows are zero at other pivots: clearing one keeps the rest
         rows = self._rows
         for pivot in [p for p in row if p in rows]:
             self._clear(row, rows[pivot], pivot)
         return row
 
-    def _insert(self, row: Row) -> bool:
+    def _insert(self, row: dict) -> bool:
         residue = self._reduce(row)
         if not residue:
             return False
         pivot = min(residue)
-        if residue[pivot] != ONE:
-            inv = ONE / residue[pivot]
-            residue = {j: x * inv for j, x in residue.items() if j != pivot}
-            residue[pivot] = ONE
+        lead = residue[pivot]
+        if lead != 1:
+            del residue[pivot]
+            if lead == -1:
+                residue = {j: -x for j, x in residue.items()}
+            elif type(lead) is int:
+                residue = {j: _divided(x, lead) for j, x in residue.items()}
+            else:
+                inv = 1 / lead
+                residue = {j: _lower(x * inv) for j, x in residue.items()}
+            residue[pivot] = 1
         for other in self._rows.values():
             if pivot in other:
                 self._clear(other, residue, pivot)
@@ -254,12 +291,20 @@ class SpanReducer:
     def reduce(self, vec: Row) -> Row:
         """The residue of ``vec`` modulo the span, a new row: zero exactly on
         the span, and linear in ``vec``.  The caller's row is left as it was."""
-        return self._reduce(dict(vec))
+        return {j: as_scalar(x) for j, x in self._reduce(_lowered(vec)).items()}
 
     def contains(self, vec: Row) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(_lowered(vec))
 
     def add(self, vec: Row) -> bool:
         """Insert ``vec`` if independent; returns True when it was added.
         The caller's row is left as it was."""
-        return self._insert(dict(vec))
+        return self._insert(_lowered(vec))
+
+
+def _divided(x, lead: int):
+    """x / lead for an int pivot other than 1 and -1, exactly and lowered."""
+    if type(x) is int:
+        q, r = divmod(x, lead)
+        return Fraction(x, lead) if r else q
+    return _lower(x / lead)

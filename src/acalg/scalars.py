@@ -8,10 +8,11 @@ Each part is stored in one canonical form: an ``int`` when it is integral
 and a reduced ``fractions.Fraction`` (positive denominator) otherwise.  The
 seven defining relations have coefficients 1, -1 and 1/2, so nearly every
 scalar the package meets is a small integer, and ``int`` arithmetic is
-tens of times cheaper than ``Fraction`` arithmetic.  ``*`` takes a
-real fast path when both imaginary parts are 0, which skips the three
-products that would be 0 (``Fraction`` products when a real part is not
-integral); ``+`` and ``-`` need none, as 0 + 0 on ints costs nothing.  Since
+tens of times cheaper than ``Fraction`` arithmetic.  ``*`` skips every
+product with a zero imaginary part: two real scalars cost one product and a
+real times a non-real scalar two, where each skipped product would be a
+``Fraction`` product when a part is not integral; ``+`` and ``-`` need no
+such path, as 0 + 0 on ints costs nothing.  Since
 ``hash(Fraction(n)) == hash(n)`` and ``Fraction(n) == n``, the two forms
 agree as dict keys, and ``.numerator`` / ``.denominator`` read both alike.
 
@@ -72,7 +73,9 @@ class GaussianRational:
     # The hot operators +, - and * test the operand's type inline and call
     # _coerce only when it is not a scalar; the rarer ones always call it.
     # Skipping the call saves 4 % of lie_tower's wall_s, and the real branch
-    # of * another 8 % (bench/run.py, ten alternating pairs each).
+    # of * another 8 % (bench/run.py, ten alternating pairs each).  A real
+    # times a non-real scalar, as linalg's mixed rows meet them, takes two
+    # products, not four.
 
     def __add__(self, other):
         if type(other) is not GaussianRational:
@@ -102,8 +105,12 @@ class GaussianRational:
             if other is None:
                 return NotImplemented
         a, b, c, d = self.re, self.im, other.re, other.im
-        if b or d:
-            return GaussianRational(a * c - b * d, a * d + b * c)
+        if d:
+            if b:
+                return GaussianRational(a * c - b * d, a * d + b * c)
+            return GaussianRational(a * c, a * d)
+        if b:
+            return GaussianRational(a * c, b * c)
         return GaussianRational(a * c, 0)
 
     __rmul__ = __mul__
@@ -226,6 +233,10 @@ def scalar_from_text(text: str) -> Scalar:
         coef = Fraction(m.group("imcoef") or 1)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
+    except ValueError:  # the pattern admits digits only: more than Python reads
+        raise ValueError(
+            f"number with more than {sys.get_int_max_str_digits()} digits in scalar literal"
+        ) from None
     im_part = Fraction(0)
     if m.group("im") is not None:
         # a sign is required between the real and imaginary parts

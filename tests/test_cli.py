@@ -191,6 +191,43 @@ def test_numbers_too_long_for_text_are_json_errors(capsys, argv, code, error_typ
     assert captured.err == ""
 
 
+NINES_5000 = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "check", NINES_5000, "0", "0", "0"],
+        ["mc", "check", "0", f"1+{NINES_5000}*i", "0", "0"],
+        ["mc", "nullity", NINES_5000, "1"],
+        ["--format", "json", "cohomology", "--diff", "st", "1", f"1/{NINES_5000}", "--max", "2"],
+    ],
+)
+def test_a_scalar_too_long_to_read_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "UsageError"
+    assert error["message"] == "number with more than 4300 digits in scalar literal"
+    assert "set_int_max_str_digits" not in captured.out
+    assert captured.err == ""
+
+
+def test_a_rep_coefficient_too_long_to_read_is_a_format_error(capsys, tmp_path):
+    target = tmp_path / "family.json"
+    assert run(capsys, "rep", "example", "--emit", str(target))[0] == 0
+    document = json.loads(target.read_text())
+    next(iter(document["actions"].values()))[0]["coeff"] = NINES_5000
+    target.write_text(json.dumps(document))
+    assert main(["rep", "verify", str(target)]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "RepFormatError"
+    assert error["message"] == "number with more than 4300 digits in scalar literal"
+    assert "set_int_max_str_digits" not in captured.out
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("text, column", [("²", 1), ("1/²", 2), ("①", 1)])
 def test_superscript_and_circled_digits_are_syntax_errors(capsys, text, column):
     assert main(["normal-form", text]) == 2

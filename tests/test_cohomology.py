@@ -20,6 +20,7 @@ from acalg.cohomology import (
     Carrier,
     _LieCarrier,
     _cohomology_data_cached,
+    _cone_failures,
     _generator_columns,
     _squares_to_zero,
     _words,
@@ -335,6 +336,72 @@ def test_les_check_witness_is_the_first_failing_base(monkeypatch):
         ("skew-commutation", 2, f"skew-commutation fails on {bad}"),
     ]
     assert len(reports[0].records) == 8
+
+
+def reference_cone_failures(k_max, ad_mubar):
+    """les_check's parts (a) and (b) element by element, as les_check ran
+    them before it read ad_mubar off the cached word rows."""
+    carrier = get_carrier("B")
+    delbar, del_ = gen(DELBAR), gen(DEL)
+    block_fails, skew_fails = [], []
+    for k in range(0, k_max):
+        block_fail = skew_fail = None
+        for base in carrier.basis(k):
+            ad_base = ad_mubar(base)
+            delbar_base = product(delbar, base)
+            ad_delbar_base = ad_mubar(delbar_base)
+            if block_fail is None and (
+                split_B(k + 2, ad_mubar(product(del_, base))) != (-ad_base, -delbar_base)
+                or split_B(k + 2, ad_delbar_base) != (AlgebraElement.zero(), -ad_base)
+            ):
+                block_fail = f"block identity fails on {base}"
+            if skew_fail is None and ad_delbar_base != -product(delbar, ad_base):
+                skew_fail = f"skew-commutation fails on {base}"
+            if block_fail and skew_fail:
+                break
+        block_fails.append(block_fail)
+        skew_fails.append(skew_fail)
+    return block_fails, skew_fails
+
+
+def test_les_check_matches_the_element_reference():
+    report = les_check(8)
+    block, skew = reference_cone_failures(8, lambda x: graded_commutator(gen(MUBAR), x))
+    assert [(r.name, r.degree, r.passed, r.witness) for r in report.records[:16]] == (
+        [("cone-block-identity", k, w is None, w) for k, w in enumerate(block, start=1)]
+        + [("skew-commutation", k, w is None, w) for k, w in enumerate(skew)]
+    )
+    assert len(report.records) == 40 and report.passed
+
+
+@pytest.mark.parametrize(
+    "k, n, how", [(1, 1, "drop"), (2, 3, "scale"), (3, 0, "add"), (4, 9, "scale"), (5, 17, "drop")]
+)
+def test_a_corrupted_column_fails_both_passes_alike(k, n, how):
+    carrier = get_carrier("B")
+    columns = {j: [dict(r) for r in _generator_columns(MUBAR, j, carrier)] for j in range(0, 7)}
+    row = columns[k][n]
+    if how == "add":
+        row[min(set(range(2 ** (k + 1))) - set(row))] = ONE
+    elif how == "scale":
+        first = next(iter(row))
+        row[first] = row[first] * 2
+    else:
+        del row[next(iter(row))]
+
+    def ad_mubar(x):
+        if x.is_zero():
+            return x
+        j = x.degree()
+        out = {}
+        for i, c in carrier.coordinates([x], j)[0].items():
+            for m, y in columns[j][i].items():
+                out[m] = out.get(m, 0 * ONE) + c * y
+        return carrier.element({m: y for m, y in out.items() if y}, j + 1)
+
+    failures = _cone_failures(6, columns.__getitem__)
+    assert failures == reference_cone_failures(6, ad_mubar)
+    assert any(w is not None for w in failures[0] + failures[1])
 
 
 def test_les_check_rejects_tiny_degree():

@@ -4,10 +4,19 @@ from functools import lru_cache
 
 import pytest
 
+from acalg.algebra import (
+    DEL,
+    DELBAR,
+    GENERATORS,
+    basis_A,
+    generator_element,
+    graded_commutator,
+    row_in_A,
+)
 from acalg.cohomology import ad_matrix
-from acalg.lie import d_lie, lie_generator
+from acalg.lie import _graded_basis, d_lie, lie_generator
 from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
-from acalg.scalars import GaussianRational, ONE, ZERO
+from acalg.scalars import HALF as H, I, GaussianRational, ONE, ZERO, as_scalar
 from vectors import apply, as_dense, as_row, columns, same_span, transpose
 
 try:  # sympy is a test-only dependency (the ``test`` extra)
@@ -331,3 +340,279 @@ def test_returned_rows_hold_nonzero_entries_only():
                 assert all(x and 0 <= j < ncols for j, x in solved.items())
 
     check()
+
+
+# -- differential test against the Gaussian-rational engine -----------------------
+#
+# The engine keeps real entries as ints and Fractions.  ReferenceSpanReducer
+# is the engine as it was when every entry was a GaussianRational, and the
+# reference readers below read it as ExactMatrix.rank, ExactMatrix.nullspace
+# and solve_columns did.  Both must give the same ranks, kernel rows,
+# coordinates, residues and add verdicts, key order included, on random
+# sparse matrices of four entry kinds and on the matrices acalg eliminates.
+
+
+class ReferenceSpanReducer:
+    """Incremental reduced row-echelon form over GaussianRational entries."""
+
+    def __init__(self, vectors=()):
+        self._rows = {}
+        for vec in vectors:
+            self.add(vec)
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    @staticmethod
+    def _clear(target, source, pivot):
+        factor = target.pop(pivot)
+        for j, x in source.items():
+            if j == pivot:
+                continue
+            y = target.get(j)
+            if y is None:
+                target[j] = -(factor * x)
+            else:
+                y = y - factor * x
+                if y:
+                    target[j] = y
+                else:
+                    del target[j]
+
+    def _reduce(self, row):
+        rows = self._rows
+        for pivot in [p for p in row if p in rows]:
+            self._clear(row, rows[pivot], pivot)
+        return row
+
+    def _insert(self, row):
+        residue = self._reduce(row)
+        if not residue:
+            return False
+        pivot = min(residue)
+        if residue[pivot] != ONE:
+            inv = ONE / residue[pivot]
+            residue = {j: x * inv for j, x in residue.items() if j != pivot}
+            residue[pivot] = ONE
+        for other in self._rows.values():
+            if pivot in other:
+                self._clear(other, residue, pivot)
+        self._rows[pivot] = residue
+        return True
+
+    def reduce(self, vec):
+        return self._reduce(dict(vec))
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def add(self, vec):
+        return self._insert(dict(vec))
+
+
+def reference_rows(matrix: ExactMatrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix.rows]
+
+
+def reference_nullspace(matrix: ExactMatrix):
+    pivot_rows = ReferenceSpanReducer(reference_rows(matrix))._rows
+    kernel = {f: {f: ONE} for f in range(matrix.ncols) if f not in pivot_rows}
+    for pivot, row in pivot_rows.items():
+        for j, x in row.items():
+            if j != pivot:
+                kernel[j][pivot] = -x
+    return list(kernel.values())
+
+
+def reference_solve_columns(basis_columns, rhs_columns):
+    if not rhs_columns:
+        return []
+    ncols = len(basis_columns)
+    by_row = {}
+    for j, col in enumerate(list(basis_columns) + list(rhs_columns)):
+        for i, x in col.items():
+            by_row.setdefault(i, {})[j] = x
+    rows = ReferenceSpanReducer(by_row.values())._rows
+    outside = [row for pivot, row in rows.items() if pivot >= ncols]
+    inside = [(pivot, row) for pivot, row in rows.items() if pivot < ncols]
+    out = []
+    for col in range(ncols, ncols + len(rhs_columns)):
+        if any(col in row for row in outside):
+            out.append(None)
+        else:
+            out.append({pivot: row[col] for pivot, row in inside if col in row})
+    return out
+
+
+def ordered(rows):
+    """Rows as lists of items, so that equal means equal key order too."""
+    return [None if row is None else list(row.items()) for row in rows]
+
+
+def assert_canonical(row):
+    """Every entry handed out is a scalar with canonical parts."""
+    for x in row.values():
+        assert type(x) is GaussianRational and x
+        for part in (x.re, x.im):
+            assert type(part) is int or (type(part) is Fraction and part.denominator != 1)
+
+
+def assert_lowered(reducer: SpanReducer):
+    """Every entry kept inside is an int, a non-integral Fraction, or a
+    non-real scalar: never a float, a bool or a real scalar."""
+    for row in reducer._rows.values():
+        for x in row.values():
+            assert type(x) in (int, Fraction, GaussianRational) and x
+            if type(x) is Fraction:
+                assert x.denominator != 1
+            if type(x) is GaussianRational:
+                assert x.im
+
+
+def compare_engines(matrix: ExactMatrix, rng, extra_rows=()):
+    """Both engines on the rows of ``matrix`` (then ``extra_rows``), on its
+    nullspace and on solving its columns, with probes in and off both spans."""
+
+    def coeff():
+        return GaussianRational(rng.choice([-2, -1, 1, 3]), rng.choice([0, 0, 1, -1]))
+
+    rows = reference_rows(matrix) + list(extra_rows)
+    ncols = matrix.ncols
+    reducer, reference = SpanReducer(), ReferenceSpanReducer()
+    assert [reducer.add(r) for r in rows] == [reference.add(r) for r in rows]
+    assert reducer.rank == reference.rank
+    assert_lowered(reducer)
+    row_probes = [
+        as_row([sum((coeff() * r.get(j, ZERO) for r in rows[:3]), ZERO) for j in range(ncols)]),
+        {j: coeff() for j in rng.sample(range(ncols), min(ncols, 3))} if ncols else {},
+    ]
+    for probe in row_probes:
+        residue = reducer.reduce(probe)
+        assert list(residue.items()) == list(reference.reduce(probe).items())
+        assert_canonical(residue)
+        assert reducer.contains(probe) == reference.contains(probe)
+
+    assert matrix.rank() == ReferenceSpanReducer(reference_rows(matrix)).rank
+    assert_lowered(matrix._echelon())
+    kernel = matrix.nullspace()
+    assert ordered(kernel) == ordered(reference_nullspace(matrix))
+    for row in kernel:
+        assert_canonical(row)
+
+    cols = columns(matrix)
+    rhs = [{}] if not matrix.nrows else [
+        as_row([sum((coeff() * c.get(i, ZERO) for c in cols[:4]), ZERO) for i in range(matrix.nrows)]),
+        {i: coeff() for i in rng.sample(range(matrix.nrows), min(matrix.nrows, 2))},
+    ]
+    solved = solve_columns(cols, rhs)
+    assert ordered(solved) == ordered(reference_solve_columns(cols, rhs))
+    for row in solved:
+        if row is not None:
+            assert_canonical(row)
+
+
+ENTRY_KINDS = {
+    "int": lambda rng: GaussianRational(rng.choice([-3, -2, -1, 1, 2, 3])),
+    "half": lambda rng: GaussianRational(Fraction(rng.choice([-3, -1, 1, 3]), 2)),
+    "gaussian": lambda rng: GaussianRational(rng.randint(-2, 2), rng.choice([-2, -1, 1, 2])),
+}
+ENTRY_KINDS["mixed"] = lambda rng: ENTRY_KINDS[rng.choice(["int", "half", "gaussian"])](rng)
+
+
+def random_sparse_matrix(rng, kind):
+    """A sparse matrix up to 12 x 12 of one entry kind; every other one is a
+    product through a narrow middle, so that its rows are dependent."""
+    entry = ENTRY_KINDS[kind]
+
+    def sparse(m, n, density):
+        return ExactMatrix(
+            [[entry(rng) if rng.random() < density else ZERO for _ in range(n)] for _ in range(m)],
+            ncols=n,
+        )
+
+    m, n = rng.randint(1, 12), rng.randint(1, 12)
+    if rng.random() < 0.5:
+        return sparse(m, n, rng.choice([0.15, 0.3, 0.6]))
+    r = rng.randint(1, min(m, n))
+    return sparse(m, r, 0.5) @ sparse(r, n, 0.5)
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_KINDS))
+def test_engine_matches_reference_on_random_sparse_matrices(kind):
+    rng = random.Random(f"engine-{kind}")
+    matrices = [random_sparse_matrix(rng, kind) for _ in range(60)]
+    assert sum(m.rank() < min(m.shape) for m in matrices) >= 10
+    for matrix in matrices:
+        compare_engines(matrix, rng)
+
+
+def builder_candidate_rows(seed, k):
+    """The rows the degree-k basis builder offers its reducer, in order."""
+    rows = []
+    for g in (DELBAR, DEL):
+        for value in _graded_basis(seed, k - 1).values:
+            candidate = graded_commutator(generator_element(g), value)
+            if not candidate.is_zero():
+                rows.append(row_in_A(candidate, k))
+    return rows
+
+
+@pytest.mark.parametrize("carrier, k", [(c, k) for c in ("g", "h") for k in range(2, 9)])
+def test_engine_matches_reference_on_builder_rows(carrier, k):
+    seed = GENERATORS if carrier == "g" else (DELBAR, DEL)
+    rows = builder_candidate_rows(seed, k)
+    matrix = ExactMatrix.from_columns(
+        [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(len(basis_A(k)))],
+        nrows=len(rows),
+    )
+    compare_engines(matrix, random.Random(f"builder-{carrier}{k}"))
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("mubar", "d") for k in range(0, 7)])
+def test_engine_matches_reference_on_B_ad_matrices(name, k):
+    matrix = ad_matrix(DIFFERENTIALS[name](), k, "B").matrix
+    compare_engines(matrix, random.Random(f"B-{name}{k}"))
+    compare_engines(transpose(matrix), random.Random(f"B-{name}{k}-t"))
+
+
+TWO = GaussianRational(2)
+PIVOT_CASES = {
+    # lead: (the row added, the row kept: lowered, with a leading int 1)
+    "-1": ({0: -ONE, 1: GaussianRational(3), 2: H, 3: I}, {1: -3, 2: Fraction(-1, 2), 3: -I}),
+    "2": (
+        {0: TWO, 1: GaussianRational(4), 2: GaussianRational(3), 3: H, 4: TWO * I},
+        {1: 2, 2: Fraction(3, 2), 3: Fraction(1, 4), 4: I},
+    ),
+    "1/2": (
+        {0: H, 1: GaussianRational(3), 2: H, 3: GaussianRational(Fraction(1, 4))},
+        {1: 6, 2: 1, 3: Fraction(1, 2)},
+    ),
+    "i": (
+        {0: I, 1: GaussianRational(3), 2: TWO * I, 3: ONE + I},
+        {1: GaussianRational(0, -3), 2: 2, 3: ONE - I},
+    ),
+    "1+i": (
+        {0: ONE + I, 1: TWO, 2: ONE + I, 3: ONE},
+        {1: ONE - I, 2: 1, 3: GaussianRational(H.re, -H.re)},
+    ),
+}
+
+
+@pytest.mark.parametrize("lead", sorted(PIVOT_CASES))
+def test_pivot_division_is_exact(lead):
+    added, kept = PIVOT_CASES[lead]
+    reducer = SpanReducer()
+    assert reducer.add(added)
+    row = reducer._rows[0]
+    assert row == {**kept, 0: 1}
+    assert all(type(row[j]) is type(x) for j, x in kept.items()) and type(row[0]) is int
+    assert_lowered(reducer)
+    # the residue of the added row is zero, and of the unit vector at the
+    # pivot it is minus the rest of the row divided by the pivot
+    assert reducer.reduce(added) == {}
+    residue = reducer.reduce({0: ONE})
+    assert residue == {j: -as_scalar(x) for j, x in kept.items()}
+    assert_canonical(residue)
+    reference = ReferenceSpanReducer([added])
+    assert list(reference._rows[0].items()) == [(j, as_scalar(x)) for j, x in row.items()]
