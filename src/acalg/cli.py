@@ -54,7 +54,7 @@ from .reps import (
     save_rep,
     verify_relations,
 )
-from .scalars import scalar_from_text
+from .scalars import _frac_text, scalar_from_text
 
 DEFAULT_CAP = 12
 
@@ -216,6 +216,8 @@ def _cmd_dims(args):
     else:
         carrier = get_carrier("B")
         dims = {k: carrier.dim(k) for k in range(args.max + 1)}
+    # the JSON and text writers cannot write a number that _frac_text refuses
+    _frac_text(max(dims.values(), default=0))
     payload = {
         "carrier": args.carrier,
         "dims": [{"degree": k, "dim": n} for k, n in dims.items()],

@@ -17,7 +17,9 @@ Each degree keeps one span, the echelon form of its image.  A kernel vector
 is a representative when its residue modulo that span is independent of
 the earlier representatives' residues; a vector's class is its residue
 solved against the representatives' residues; and an induced map checks
-that the image lands in the target's image span.
+that the image lands in the target's image span.  An induced map takes the
+map it is induced from as columns: the image of each source basis vector,
+in the target basis.
 
 A degree-1 element is a = x mubar + y delbar + z del + w mu, and [a, -] is
 linear in a, so ad_a = x ad_mubar + y ad_delbar + z ad_del + w ad_mu.  Each
@@ -35,6 +37,9 @@ coordinate solves, from the one record per degree that ``lie`` builds.
 commutation of ad_mubar with left multiplication by delbar, and the
 node-by-node exactness of the induced long sequence on cohomology.
 ``frolicher_E1`` computes the two-step page H(H(-, ad_mubar), ad_delbar).
+Both read column maps built once: the cached generator maps, the columns of
+left multiplication by delbar and del on B, and the connecting map's
+columns, read off the word index of B.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ from .algebra import (
 )
 from .errors import InvalidDegree, NotADifferential, NotWellDefined
 from .lie import LieElement, _graded_basis
-from .linalg import ExactMatrix, Row, SpanReducer, solve_columns
+from .linalg import ExactMatrix, Row, SpanReducer, combine, solve_columns
 from .scalars import ONE, Scalar
 
 
@@ -214,15 +219,10 @@ def _ad_columns(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
     g_j with nonzero coefficients c_j in a; the columns of each ad_{g_j} are
     built once per (generator, degree, carrier) and then only combined.
     """
-    columns: list[Row] = [{} for _ in carrier.basis(k)]
-    for sym, coeff in zip(GENERATORS, generator_coefficients(value)):
-        if not coeff:
-            continue
-        for column, generator_column in zip(columns, _generator_columns(sym, k, carrier)):
-            for i, x in generator_column.items():
-                y = coeff * x
-                column[i] = column[i] + y if i in column else y
-    return [{i: x for i, x in column.items() if x} for column in columns]
+    terms = [(sym, c) for sym, c in zip(GENERATORS, generator_coefficients(value)) if c]
+    maps = [_generator_columns(sym, k, carrier) for sym, _ in terms]
+    coeffs = {n: c for n, (_, c) in enumerate(terms)}
+    return [combine([m[n] for m in maps], coeffs) for n in range(carrier.dim(k))]
 
 
 # 3 built-in carriers x 4 generators x 32 degrees, the degree bound of
@@ -337,29 +337,24 @@ def cohomology_dims(a, k_max: int, carrier="g") -> dict[int, int]:
 
 
 def induced_map(
-    source: CohomologyData,
-    target: CohomologyData,
-    raw_map: Callable[[AlgebraElement], AlgebraElement],
+    source: CohomologyData, target: CohomologyData, columns: Sequence[Row]
 ) -> ExactMatrix:
-    """Matrix of the map induced on cohomology classes by ``raw_map``.
+    """Matrix of the map induced on cohomology classes by a linear map given
+    as its columns: column n is the image of source basis vector n, in the
+    target basis.
 
-    ``raw_map`` must be linear.  It must send kernel into kernel and image
-    into image (exactly, at the span level), or NotWellDefined is raised,
-    for kernels before images.  The representatives and the image span the
-    source kernel, so it is enough that every representative's image has a
-    class and that the image lands in the target image.
+    The map must send kernel into kernel and image into image (exactly, at
+    the span level), or NotWellDefined is raised, for kernels before images.
+    The representatives and the image span the source kernel, so it is
+    enough that every representative's image has a class and that the image
+    lands in the target image.
     """
-
-    def mapped(vectors: list[Row]) -> list[Row]:
-        elements = [raw_map(source.carrier.element(vec, source.degree)) for vec in vectors]
-        return target.carrier.coordinates(elements, target.degree)
-
-    columns = target.classes(mapped(source.rep_coords))
-    if None in columns:
+    classes = target.classes([combine(columns, vec) for vec in source.rep_coords])
+    if None in classes:
         raise NotWellDefined(f"induced map does not preserve kernels at degree {source.degree}")
-    if not all(target.image_span.contains(vec) for vec in mapped(source.image)):
+    if not all(target.image_span.contains(combine(columns, vec)) for vec in source.image):
         raise NotWellDefined(f"induced map does not preserve images at degree {source.degree}")
-    return ExactMatrix.from_columns(columns, nrows=target.dim)
+    return ExactMatrix.from_columns(classes, nrows=target.dim)
 
 
 def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
@@ -370,17 +365,15 @@ def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
     """
     carrier = get_carrier(carrier)
     mubar = generator_element(MUBAR)
-    delbar = generator_element(DELBAR)
     k_min = carrier.first_degree
 
     data: dict[int, CohomologyData] = {}
     for k in range(k_min - 1, k_max + 2):
         data[k] = cohomology_data(mubar, k, carrier)
 
-    raw = lambda x: graded_commutator(delbar, x)
     maps: dict[int, ExactMatrix] = {}
     for k in range(k_min - 1, k_max + 1):
-        maps[k] = induced_map(data[k], data[k + 1], raw)
+        maps[k] = induced_map(data[k], data[k + 1], _generator_columns(DELBAR, k, carrier))
 
     return {
         k: maps[k].ncols - maps[k].rank() - maps[k - 1].rank() for k in range(k_min, k_max + 1)
@@ -414,9 +407,23 @@ def split_B(k: int, b: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
     )
 
 
-def delta_map(k: int, b: AlgebraElement) -> AlgebraElement:
-    """The connecting map B_k -> B_{k-1}: del*x + delbar*y -> x."""
-    return split_B(k, b)[0]
+def _first_letters(k: int) -> list[tuple[str, int]]:
+    """Each word of B_k, k >= 1, as its first letter and the index of the
+    rest in B_{k-1}: split_B on words."""
+    rest = _words(k - 1).index
+    return [(mono.head[0], rest[NormalMonomial(mono.head[1:])]) for mono in _words(k).monomials]
+
+
+def _delta_columns(k: int) -> list[Row]:
+    """The columns of the connecting map B_k -> B_{k-1}: del*x + delbar*y -> x."""
+    return [{i: ONE} if letter == DEL else {} for letter, i in _first_letters(k)]
+
+
+def _left_columns(g: str, k: int) -> list[Row]:
+    """The columns of b -> g b from B_k to B_{k+1}, read off ``product``."""
+    carrier = CARRIERS["B"]
+    g_elt = generator_element(g)
+    return carrier.coordinates([product(g_elt, b) for b in carrier.basis(k)], k + 1)
 
 
 @dataclass
@@ -449,44 +456,25 @@ class LesReport:
         return f"FAIL {bad.name} at degree {bad.degree}: {bad.witness}"
 
 
-def _combine(rows: Sequence[Row], coeffs: Row) -> Row:
-    """sum_i coeffs[i] * rows[i], holding nonzero entries only."""
-    out: Row = {}
-    for i, c in coeffs.items():
-        for j, x in rows[i].items():
-            y = c * x
-            out[j] = out[j] + y if j in out else y
-    return {j: x for j, x in out.items() if x}
-
-
 def _cone_failures(
-    k_max: int, ad_columns: Callable[[int], Sequence[Row]]
+    k_max: int,
+    ad_columns: Callable[[int], Sequence[Row]],
+    delbar_columns: Sequence[Sequence[Row]],
 ) -> tuple[list[str | None], list[str | None]]:
     """The witnesses of les_check's parts (a) and (b) for B_0 .. B_{k_max - 1},
     None where a degree passes: the first failing word of each degree.
 
-    Everything is a word row: ``ad_columns(k)`` are the rows of ad_mubar out
-    of B_k, left multiplication by delbar and del is read off ``product``
-    word by word, and a row of B_{k+2} splits by the first letter of each
-    word, the rest looked up through the word index of B_{k+1}.
+    Everything is a word row: ``ad_columns(k)`` and ``delbar_columns[k]`` are
+    the columns of ad_mubar and of left multiplication by delbar out of B_k,
+    left multiplication by del is read off ``product`` word by word, and a
+    row of B_{k+2} splits by the first letter of each word.
     """
     carrier = CARRIERS["B"]
-
-    def left(g: str, k: int) -> list[Row]:
-        """The rows of b -> g b on B_k, in B_{k+1}."""
-        g_elt = generator_element(g)
-        return carrier.coordinates([product(g_elt, b) for b in carrier.basis(k)], k + 1)
-
-    delbar_rows = [left(DELBAR, k) for k in range(k_max + 1)]
-    del_rows = [left(DEL, k) for k in range(k_max)]
+    del_columns = [_left_columns(DEL, k) for k in range(k_max)]
     block_fails: list[str | None] = []
     skew_fails: list[str | None] = []
     for k in range(0, k_max):
-        # each word of B_{k+2} as its first letter and the rest's index in B_{k+1}
-        rest = _words(k + 1).index
-        split_at = [
-            (mono.head[0], rest[NormalMonomial(mono.head[1:])]) for mono in _words(k + 2).monomials
-        ]
+        split_at = _first_letters(k + 2)
 
         def split(row: Row) -> tuple[Row, Row]:
             """The rows of (x, y) with row = del x + delbar y."""
@@ -497,17 +485,19 @@ def _cone_failures(
             return parts[DEL], parts[DELBAR]
 
         block_fail = skew_fail = None
-        ad, ad_up = ad_columns(k), ad_columns(k + 1)
-        for n, (ad_base, delbar_base, del_base) in enumerate(zip(ad, delbar_rows[k], del_rows[k])):
+        ad, ad_up, delbar_up = ad_columns(k), ad_columns(k + 1), delbar_columns[k + 1]
+        for n, (ad_base, delbar_base, del_base) in enumerate(
+            zip(ad, delbar_columns[k], del_columns[k])
+        ):
             minus_ad_base = {j: -c for j, c in ad_base.items()}
-            ad_delbar_base = _combine(ad_up, delbar_base)
+            ad_delbar_base = combine(ad_up, delbar_base)
             if block_fail is None and (
-                split(_combine(ad_up, del_base))
+                split(combine(ad_up, del_base))
                 != (minus_ad_base, {j: -c for j, c in delbar_base.items()})
                 or split(ad_delbar_base) != ({}, minus_ad_base)
             ):
                 block_fail = f"block identity fails on {carrier.basis(k)[n]}"
-            if skew_fail is None and ad_delbar_base != _combine(delbar_rows[k + 1], minus_ad_base):
+            if skew_fail is None and ad_delbar_base != combine(delbar_up, minus_ad_base):
                 skew_fail = f"skew-commutation fails on {carrier.basis(k)[n]}"
             if block_fail and skew_fail:
                 break
@@ -524,13 +514,14 @@ def les_check(k_max: int) -> LesReport:
     report = LesReport(k_max)
     carrier = get_carrier("B")
     mubar = generator_element(MUBAR)
-    delbar = generator_element(DELBAR)
+    # read by all three parts; the del columns live in (a) and (b) only
+    delbar_columns = [_left_columns(DELBAR, k) for k in range(k_max + 1)]
 
     # (a) the 2x2 block identity through the splitting (x, y) -> del x + delbar y
     # (b) ad_mubar skew commutes with left multiplication by delbar
     # both read ad_mubar off its cached word rows, which (c) builds anyway
     block_fails, skew_fails = _cone_failures(
-        k_max, lambda k: _generator_columns(MUBAR, k, carrier)
+        k_max, lambda k: _generator_columns(MUBAR, k, carrier), delbar_columns
     )
     for k, witness in enumerate(block_fails, start=1):
         report.add("cone-block-identity", k, witness is None, witness)
@@ -539,16 +530,12 @@ def les_check(k_max: int) -> LesReport:
 
     # (c) exactness of the induced long sequence on cohomology
     data = {k: cohomology_data(mubar, k, carrier) for k in range(0, k_max + 1)}
-
-    def left_delbar(x: AlgebraElement) -> AlgebraElement:
-        return product(delbar, x)
-
     up: dict[int, ExactMatrix] = {-1: ExactMatrix.zeros(data[0].dim, 0)}
     down: dict[int, ExactMatrix] = {}
     for j in range(0, k_max):
-        up[j] = induced_map(data[j], data[j + 1], left_delbar)
+        up[j] = induced_map(data[j], data[j + 1], delbar_columns[j])
     for j in range(1, k_max + 1):
-        down[j] = induced_map(data[j], data[j - 1], lambda x, j=j: delta_map(j, x))
+        down[j] = induced_map(data[j], data[j - 1], _delta_columns(j))
 
     def exact(incoming: ExactMatrix, outgoing: ExactMatrix, middle_dim: int) -> bool:
         return (outgoing @ incoming).is_zero() and incoming.rank() + outgoing.rank() == middle_dim

@@ -4,7 +4,8 @@ Vectors are rows: a dict that maps an index to a nonzero entry and holds
 nothing else.  Every function here takes and returns rows.  Dense data
 crosses in two places only: ``ExactMatrix(rows)`` reads lists of scalars,
 and ``ExactMatrix.rows`` writes a dense copy for callers that print or count
-entries.
+entries.  ``combine`` forms a linear combination of rows; matrix products
+and the column maps of the cohomology layer go through it.
 
 ``ExactMatrix`` stores its entries once, as rows.  Every elimination goes
 through ``SpanReducer``, an incremental reduced row-echelon form over rows.
@@ -117,14 +118,7 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        out: list[Row] = []
-        for row in self._rows:
-            acc: Row = {}
-            for k, a in row.items():
-                for j, b in other._rows[k].items():
-                    acc[j] = acc[j] + a * b if j in acc else a * b
-            out.append({j: x for j, x in acc.items() if x})
-        return ExactMatrix._of(out, other.ncols)
+        return ExactMatrix._of([combine(other._rows, row) for row in self._rows], other.ncols)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.shape != other.shape:
@@ -184,6 +178,16 @@ class ExactMatrix:
                 if j != pivot:
                     kernel[j][pivot] = as_scalar(-x)
         return list(kernel.values())
+
+
+def combine(rows: Sequence[Row], coeffs: Row) -> Row:
+    """sum_i coeffs[i] * rows[i], a new row holding nonzero entries only."""
+    out: Row = {}
+    for i, c in coeffs.items():
+        for j, x in rows[i].items():
+            y = c * x
+            out[j] = out[j] + y if j in out else y
+    return {j: x for j, x in out.items() if x}
 
 
 def solve_columns(

@@ -182,6 +182,15 @@ NINES_3000 = "9" * 3000
         (["mc", "check", NINES_3000, NINES_3000, "0", "0"], 1, "NumberTooLong"),
         (["--format", "json", "mc", "param", NINES_3000, "1"], 1, "NumberTooLong"),
         (["mc", "check", "9" * 5000, "0", "0", "0"], 2, "UsageError"),
+        *(
+            (
+                [*fmt, "--max-degree", "20000", "dims", "--max", "20000", "--carrier", carrier],
+                1,
+                "NumberTooLong",
+            )
+            for carrier in ("A", "B")
+            for fmt in ([], ["--format", "json"], ["--format", "csv"])
+        ),
     ],
 )
 def test_numbers_too_long_for_text_are_json_errors(capsys, argv, code, error_type):

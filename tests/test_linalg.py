@@ -15,7 +15,7 @@ from acalg.algebra import (
 )
 from acalg.cohomology import ad_matrix
 from acalg.lie import _graded_basis, d_lie, lie_generator
-from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
+from acalg.linalg import ExactMatrix, SpanReducer, combine, solve_columns
 from acalg.scalars import HALF as H, I, GaussianRational, ONE, ZERO, as_scalar
 from vectors import apply, as_dense, as_row, columns, same_span, transpose
 
@@ -338,6 +338,8 @@ def test_returned_rows_hold_nonzero_entries_only():
         for solved in solve_columns(columns(matrix), rhs):
             if solved is not None:
                 assert all(x and 0 <= j < ncols for j, x in solved.items())
+        coeffs = as_row(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+        assert all(x and 0 <= j < nrows for j, x in combine(columns(matrix), coeffs).items())
 
     check()
 
