@@ -21,6 +21,11 @@ monomials have the shape
     (word in delbar, del) . tail          tail in {1, mubar, mu, mubar.mu}
 
 and every element of A is a unique Q(i)-combination of such monomials.
+
+An element keeps its terms as a row keyed by monomial, so every sum of
+elements, and the product, which sums the normal forms of the concatenated
+words, goes through the one sparse sum ``linalg.combine``.  Only the
+integer fold inside ``rewrite_word`` keeps its own loop.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
+from .linalg import combine
 from .scalars import ONE, ZERO, Scalar, as_scalar, _frac_text
 
 MUBAR = "mubar"
@@ -220,11 +226,7 @@ def _reduce(word: Word) -> dict[Word, int]:
     for pos in range(len(word) - 1):
         rules = REWRITE_RULES.get(word[pos : pos + 2])
         if rules is not None:
-            out: dict[Word, int] = {}
-            for c, replacement in rules:
-                for w, cw in _reduce(word[:pos] + replacement + word[pos + 2 :]).items():
-                    out[w] = out.get(w, 0) + c * cw
-            return {w: c for w, c in out.items() if c}
+            return combine((c, _reduce(word[:pos] + w + word[pos + 2 :])) for c, w in rules)
     return {word: 1}
 
 
@@ -441,14 +443,7 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[NormalMonomial, Scalar]]) -> "AlgebraElement":
-        acc: dict[NormalMonomial, Scalar] = {}
-        for mono, coeff in pairs:
-            value = acc.get(mono, ZERO) + as_scalar(coeff)
-            if value:
-                acc[mono] = value
-            else:
-                acc.pop(mono, None)
-        return cls(acc)
+        return cls._of_nonzero(combine((ONE, {mono: as_scalar(c)}) for mono, c in pairs))
 
     # -- inspection -----------------------------------------------------------
 
@@ -486,28 +481,23 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            value = acc.get(mono, ZERO) + coeff
-            if value:
-                acc[mono] = value
-            else:
-                acc.pop(mono, None)
-        return AlgebraElement(acc)
+        return AlgebraElement._of_nonzero(combine(((ONE, self._terms), (ONE, other._terms))))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self + (-other)
+        return AlgebraElement._of_nonzero(combine(((ONE, self._terms), (-ONE, other._terms))))
 
+    # Q(i) has no zero divisors: a nonzero multiple of a nonzero coefficient
+    # is nonzero, so negating and scaling need no zero test
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({m: -c for m, c in self._terms.items()})
+        return AlgebraElement._of_nonzero({m: -c for m, c in self._terms.items()})
 
     def scale(self, coeff) -> "AlgebraElement":
         coeff = as_scalar(coeff)
         if not coeff:
             return _ZERO_ELEMENT
-        return AlgebraElement({m: c * coeff for m, c in self._terms.items()})
+        return AlgebraElement._of_nonzero({m: c * coeff for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -539,11 +529,12 @@ class AlgebraElement:
         mirrored bidegree).  This is an algebra automorphism, so the result
         is renormalized through the rewriting system.
         """
-        out = _ZERO_ELEMENT
-        for mono, coeff in self._terms.items():
-            swapped = tuple(_CONJ_SWAP[s] for s in mono.letters)
-            out = out + AlgebraElement.from_word(swapped, coeff.conjugate())
-        return out
+        return AlgebraElement._of_nonzero(
+            combine(
+                (c.conjugate(), _rewrite_cached(tuple(_CONJ_SWAP[s] for s in m.letters))._terms)
+                for m, c in self._terms.items()
+            )
+        )
 
     # -- display --------------------------------------------------------------
 
@@ -571,7 +562,7 @@ class AlgebraElement:
 
 
 _ZERO_ELEMENT = AlgebraElement()
-_ONE_ELEMENT = AlgebraElement({UNIT_MONOMIAL: ONE})
+_ONE_ELEMENT = AlgebraElement._of_nonzero({UNIT_MONOMIAL: ONE})
 
 _CONJ_SWAP = {MUBAR: MU, MU: MUBAR, DELBAR: DEL, DEL: DELBAR}
 
@@ -580,7 +571,7 @@ _CONJ_SWAP = {MUBAR: MU, MU: MUBAR, DELBAR: DEL, DEL: DELBAR}
 def generator_element(sym: str) -> AlgebraElement:
     if sym not in BIDEGREE:
         raise ValueError(f"unknown generator: {sym!r}")
-    return AlgebraElement({NormalMonomial.from_letters((sym,)): ONE})
+    return AlgebraElement._of_nonzero({NormalMonomial.from_letters((sym,)): ONE})
 
 
 def generator_coefficients(value: AlgebraElement) -> list[Scalar]:
@@ -591,25 +582,20 @@ def generator_coefficients(value: AlgebraElement) -> list[Scalar]:
 
 def d_element() -> AlgebraElement:
     """The total operator d = mubar + delbar + del + mu."""
-    out = _ZERO_ELEMENT
-    for sym in GENERATORS:
-        out = out + generator_element(sym)
-    return out
+    return AlgebraElement._of_nonzero(
+        combine((ONE, generator_element(sym)._terms) for sym in GENERATORS)
+    )
 
 
 def product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Multiplication in A: concatenate words, then rewrite to normal form."""
-    acc: dict[NormalMonomial, Scalar] = {}
-    for m1, c1 in a._terms.items():
-        for m2, c2 in b._terms.items():
-            coeff = c1 * c2
-            for mono, c in _rewrite_cached(m1.letters + m2.letters)._terms.items():
-                value = acc.get(mono, ZERO) + coeff * c
-                if value:
-                    acc[mono] = value
-                else:
-                    acc.pop(mono, None)
-    return AlgebraElement(acc)
+    return AlgebraElement._of_nonzero(
+        combine(
+            (c1 * c2, _rewrite_cached(m1.letters + m2.letters)._terms)
+            for m1, c1 in a._terms.items()
+            for m2, c2 in b._terms.items()
+        )
+    )
 
 
 def graded_commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -19,7 +19,9 @@ the earlier representatives' residues; a vector's class is its residue
 solved against the representatives' residues; and an induced map checks
 that the image lands in the target's image span.  An induced map takes the
 map it is induced from as columns: the image of each source basis vector,
-in the target basis.
+in the target basis.  Every sum here goes through ``linalg.combine``:
+applying columns, assembling ad_a from the generator maps below, and
+forming an element from its coordinates.
 
 A degree-1 element is a = x mubar + y delbar + z del + w mu, and [a, -] is
 linear in a, so ad_a = x ad_mubar + y ad_delbar + z ad_del + w ad_mu.  Each
@@ -106,10 +108,7 @@ class Carrier:
 
     def element(self, coords: Row, k: int) -> AlgebraElement:
         basis = self.basis(k)
-        out = AlgebraElement.zero()
-        for j, c in coords.items():
-            out = out + basis[j].scale(c)
-        return out
+        return AlgebraElement._of_nonzero(combine((c, basis[j]._terms) for j, c in coords.items()))
 
 
 class _LieCarrier(Carrier):
@@ -143,7 +142,7 @@ def _words(k: int) -> _Words:
     return _Words(
         monomials,
         {mono: n for n, mono in enumerate(monomials)},
-        tuple(AlgebraElement({mono: ONE}) for mono in monomials),
+        tuple(AlgebraElement._of_nonzero({mono: ONE}) for mono in monomials),
     )
 
 
@@ -165,14 +164,12 @@ class _WordCarrier(Carrier):
         index = _words(k).index
         out: list[Row] = []
         for e in elements:
-            row: Row = {}
-            for mono, coeff in e.terms():
-                n = index.get(mono)
-                if n is None:
-                    restrict_to_B(e)
-                    raise NotWellDefined(f"degree {mono.degree} term in B_{k}: {mono}")
-                row[n] = coeff
-            out.append(row)
+            try:
+                out.append({index[mono]: coeff for mono, coeff in e._terms.items()})
+            except KeyError:
+                restrict_to_B(e)
+                mono = min((m for m in e._terms if m not in index), key=NormalMonomial.sort_key)
+                raise NotWellDefined(f"degree {mono.degree} term in B_{k}: {mono}") from None
         return out
 
     def element(self, coords: Row, k: int) -> AlgebraElement:
@@ -219,10 +216,9 @@ def _ad_columns(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
     g_j with nonzero coefficients c_j in a; the columns of each ad_{g_j} are
     built once per (generator, degree, carrier) and then only combined.
     """
-    terms = [(sym, c) for sym, c in zip(GENERATORS, generator_coefficients(value)) if c]
-    maps = [_generator_columns(sym, k, carrier) for sym, _ in terms]
-    coeffs = {n: c for n, (_, c) in enumerate(terms)}
-    return [combine([m[n] for m in maps], coeffs) for n in range(carrier.dim(k))]
+    coeffs = generator_coefficients(value)
+    maps = [(c, _generator_columns(sym, k, carrier)) for sym, c in zip(GENERATORS, coeffs) if c]
+    return [combine((c, m[n]) for c, m in maps) for n in range(carrier.dim(k))]
 
 
 # 3 built-in carriers x 4 generators x 32 degrees, the degree bound of
@@ -336,6 +332,11 @@ def cohomology_dims(a, k_max: int, carrier="g") -> dict[int, int]:
     return {k: cohomology_data(a, k, carrier).dim for k in range(carrier.first_degree, k_max + 1)}
 
 
+def _image(columns: Sequence[Row], vec: Row) -> Row:
+    """The image of ``vec`` under the map whose column n is ``columns[n]``."""
+    return combine((c, columns[n]) for n, c in vec.items())
+
+
 def induced_map(
     source: CohomologyData, target: CohomologyData, columns: Sequence[Row]
 ) -> ExactMatrix:
@@ -349,10 +350,10 @@ def induced_map(
     enough that every representative's image has a class and that the image
     lands in the target image.
     """
-    classes = target.classes([combine(columns, vec) for vec in source.rep_coords])
+    classes = target.classes([_image(columns, vec) for vec in source.rep_coords])
     if None in classes:
         raise NotWellDefined(f"induced map does not preserve kernels at degree {source.degree}")
-    if not all(target.image_span.contains(combine(columns, vec)) for vec in source.image):
+    if not all(target.image_span.contains(_image(columns, vec)) for vec in source.image):
         raise NotWellDefined(f"induced map does not preserve images at degree {source.degree}")
     return ExactMatrix.from_columns(classes, nrows=target.dim)
 
@@ -490,14 +491,14 @@ def _cone_failures(
             zip(ad, delbar_columns[k], del_columns[k])
         ):
             minus_ad_base = {j: -c for j, c in ad_base.items()}
-            ad_delbar_base = combine(ad_up, delbar_base)
+            ad_delbar_base = _image(ad_up, delbar_base)
             if block_fail is None and (
-                split(combine(ad_up, del_base))
+                split(_image(ad_up, del_base))
                 != (minus_ad_base, {j: -c for j, c in delbar_base.items()})
                 or split(ad_delbar_base) != ({}, minus_ad_base)
             ):
                 block_fail = f"block identity fails on {carrier.basis(k)[n]}"
-            if skew_fail is None and ad_delbar_base != combine(delbar_up, minus_ad_base):
+            if skew_fail is None and ad_delbar_base != _image(delbar_up, minus_ad_base):
                 skew_fail = f"skew-commutation fails on {carrier.basis(k)[n]}"
             if block_fail and skew_fail:
                 break

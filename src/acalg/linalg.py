@@ -4,8 +4,10 @@ Vectors are rows: a dict that maps an index to a nonzero entry and holds
 nothing else.  Every function here takes and returns rows.  Dense data
 crosses in two places only: ``ExactMatrix(rows)`` reads lists of scalars,
 and ``ExactMatrix.rows`` writes a dense copy for callers that print or count
-entries.  ``combine`` forms a linear combination of rows; matrix products
-and the column maps of the cohomology layer go through it.
+entries.  ``combine`` forms a linear combination of rows, and it is the
+one sparse sum of the package: matrix products and sums, the column maps of
+the cohomology layer, and the sums and products of algebra elements (rows
+keyed by monomial) all go through it.
 
 ``ExactMatrix`` stores its entries once, as rows.  Every elimination goes
 through ``SpanReducer``, an incremental reduced row-echelon form over rows.
@@ -36,7 +38,7 @@ has two ints as operands.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .scalars import ONE, ZERO, GaussianRational, Scalar, as_scalar
 
@@ -65,12 +67,10 @@ class ExactMatrix:
 
     def __init__(self, rows: Sequence[Sequence[Scalar]], ncols: int | None = None):
         data = [[as_scalar(x) for x in row] for row in rows]
-        if data:
-            ncols = len(data[0])
-            if any(len(row) != ncols for row in data):
-                raise ValueError("ragged rows")
-        elif ncols is None:
-            ncols = 0
+        if ncols is None:
+            ncols = len(data[0]) if data else 0
+        if any(len(row) != ncols for row in data):
+            raise ValueError(f"ragged rows: every row must hold {ncols} entries")
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in data]
         self.nrows = len(data)
         self.ncols = ncols
@@ -118,25 +118,21 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        return ExactMatrix._of([combine(other._rows, row) for row in self._rows], other.ncols)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        out: list[Row] = []
-        for r1, r2 in zip(self._rows, other._rows):
-            acc = dict(r1)
-            for j, x in r2.items():
-                acc[j] = acc[j] + x if j in acc else x
-            out.append({j: x for j, x in acc.items() if x})
-        return ExactMatrix._of(out, self.ncols)
-
-    def scale(self, coeff) -> "ExactMatrix":
-        coeff = as_scalar(coeff)
-        if not coeff:
-            return ExactMatrix.zeros(self.nrows, self.ncols)
+        rows = other._rows
         return ExactMatrix._of(
-            [{j: x * coeff for j, x in row.items()} for row in self._rows], self.ncols
+            [combine((c, rows[i]) for i, c in row.items()) for row in self._rows], other.ncols
+        )
+
+    @classmethod
+    def combination(
+        cls, terms: Sequence[tuple[Scalar, "ExactMatrix"]], nrows: int, ncols: int
+    ) -> "ExactMatrix":
+        """sum_t c_t * M_t over the pairs (c_t, M_t) of nrows x ncols
+        matrices, formed row by row with ``combine``."""
+        if any(m.shape != (nrows, ncols) for _, m in terms):
+            raise ValueError("shape mismatch")
+        return cls._of(
+            [combine((c, m._rows[i]) for c, m in terms) for i in range(nrows)], ncols
         )
 
     @property
@@ -180,13 +176,23 @@ class ExactMatrix:
         return list(kernel.values())
 
 
-def combine(rows: Sequence[Row], coeffs: Row) -> Row:
-    """sum_i coeffs[i] * rows[i], a new row holding nonzero entries only."""
-    out: Row = {}
-    for i, c in coeffs.items():
-        for j, x in rows[i].items():
-            y = c * x
-            out[j] = out[j] + y if j in out else y
+def combine(terms: Iterable[tuple[Scalar, Mapping]]) -> dict:
+    """sum_t c_t * row_t over the pairs (c_t, row_t), a new row holding
+    nonzero entries only.  A row may be keyed by anything hashable: matrix
+    rows by column, algebra elements by monomial.
+
+    A row whose coefficient is the shared ``ONE`` is added as it is, so a
+    plain sum multiplies nothing.  Zero entries are dropped once, at the end.
+    """
+    out = {}
+    for c, row in terms:
+        if c is ONE:
+            for j, x in row.items():
+                out[j] = out[j] + x if j in out else x
+        else:
+            for j, x in row.items():
+                y = c * x
+                out[j] = out[j] + y if j in out else y
     return {j: x for j, x in out.items() if x}
 
 

@@ -35,7 +35,7 @@ from .algebra import (
 from .cohomology import ad_matrix, cohomology_dims, get_carrier
 from .errors import DegeneratePoint, InternalInconsistency
 from .lie import LieElement, d_lie
-from .linalg import SpanReducer, solve_columns
+from .linalg import SpanReducer, combine, solve_columns
 from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
 
@@ -43,11 +43,8 @@ def g1_element(x, y, z, w) -> LieElement:
     """The degree-1 element with coordinates (x, y, z, w) on
     (mubar, delbar, del, mu)."""
     coeffs = [as_scalar(c) for c in (x, y, z, w)]
-    value = AlgebraElement.zero()
-    for coeff, sym in zip(coeffs, GENERATORS):
-        if coeff:
-            value = value + generator_element(sym).scale(coeff)
-    return LieElement(value, 1, _trusted=True)
+    terms = combine((c, generator_element(sym)._terms) for c, sym in zip(coeffs, GENERATORS))
+    return LieElement(AlgebraElement._of_nonzero(terms), 1, _trusted=True)
 
 
 def g1_coordinates(a: LieElement) -> list[Scalar]:
@@ -217,7 +214,7 @@ def phi_conjugation_check(s, t, k_max: int, rep=None) -> PhiReport:
     checked = 0
     for k in range(0, k_max + 1):
         for mono in basis_A(k):
-            m = AlgebraElement({mono: ONE})
+            m = AlgebraElement._of_nonzero({mono: ONE})
             lhs = phi_scale(product(d, m), s, t)
             rhs = product(d_curve, phi_scale(m, s, t))
             checked += 1

@@ -149,9 +149,8 @@ def verify_relations(rep: BigradedRep) -> list[RelationViolation]:
     matrices = _action_matrices(rep)
     violations: list[RelationViolation] = []
     for name, words in RELATIONS:
-        total = ExactMatrix.zeros(rep.dim, rep.dim)
-        for coeff, (first, second) in words:
-            total = total + (matrices[first] @ matrices[second]).scale(coeff)
+        terms = [(coeff, matrices[first] @ matrices[second]) for coeff, (first, second) in words]
+        total = ExactMatrix.combination(terms, rep.dim, rep.dim)
         columns: dict[int, list[tuple[str, Scalar]]] = {}
         for i, j, c in total.nonzero():
             columns.setdefault(j, []).append((rep.labels[i], c))
@@ -177,7 +176,7 @@ def act(rep: BigradedRep, a: AlgebraElement) -> ExactMatrix:
             "representation fails the relations; only single-word actions are defined"
         )
     matrices = _action_matrices(rep)
-    total = None
+    terms = []
     # an exact sum does not depend on the order of the terms
     for mono, coeff in a._terms.items():
         letters = mono.letters
@@ -187,9 +186,8 @@ def act(rep: BigradedRep, a: AlgebraElement) -> ExactMatrix:
                 partial = matrices[sym] @ partial
         else:
             partial = ExactMatrix.identity(rep.dim)
-        term = partial.scale(coeff)
-        total = term if total is None else total + term
-    return ExactMatrix.zeros(rep.dim, rep.dim) if total is None else total
+        terms.append((coeff, partial))
+    return ExactMatrix.combination(terms, rep.dim, rep.dim)
 
 
 def quotient_faithfulness(rep: BigradedRep) -> bool:

@@ -52,6 +52,23 @@ def test_rank_simple():
     assert ExactMatrix.zeros(3, 5).rank() == 0
 
 
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [([[ONE, ONE], [ONE]], None), ([[ONE, ONE]], 3), ([[ONE], [ONE]], 0)],
+    ids=["ragged", "wider-ncols", "narrower-ncols"],
+)
+def test_rows_must_all_hold_ncols_entries(rows, ncols):
+    with pytest.raises(ValueError):
+        ExactMatrix(rows, ncols=ncols)
+
+
+def test_rows_fix_ncols_when_it_is_not_given():
+    assert ExactMatrix([[ONE, ZERO, ONE]]).shape == (1, 3)
+    assert ExactMatrix([[ONE, ZERO]], ncols=2).shape == (1, 2)
+    assert ExactMatrix([], ncols=3).shape == (0, 3)
+    assert ExactMatrix([]).shape == (0, 0)
+
+
 def test_rank_row_vs_column_echelon():
     rng = random.Random(3)
     for _ in range(40):
@@ -339,7 +356,9 @@ def test_returned_rows_hold_nonzero_entries_only():
             if solved is not None:
                 assert all(x and 0 <= j < ncols for j, x in solved.items())
         coeffs = as_row(data.draw(st.lists(entries, min_size=ncols, max_size=ncols)))
-        assert all(x and 0 <= j < nrows for j, x in combine(columns(matrix), coeffs).items())
+        cols = columns(matrix)
+        combined = combine((c, cols[i]) for i, c in coeffs.items())
+        assert all(x and 0 <= j < nrows for j, x in combined.items())
 
     check()
 
