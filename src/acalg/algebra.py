@@ -591,7 +591,9 @@ def product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Multiplication in A: concatenate words, then rewrite to normal form."""
     return AlgebraElement._of_nonzero(
         combine(
-            (c1 * c2, _rewrite_cached(m1.letters + m2.letters)._terms)
+            # a shared ONE passed on lets combine add the rewrite as it is
+            (c1 if c2 is ONE else c2 if c1 is ONE else c1 * c2,
+             _rewrite_cached(m1.letters + m2.letters)._terms)
             for m1, c1 in a._terms.items()
             for m2, c2 in b._terms.items()
         )

@@ -1,18 +1,18 @@
 """The graded Lie algebra inside A, its subalgebras and derivations.
 
 The primitive Lie algebra g sits inside A with bracket the graded
-commutator.  Degree 1 is spanned by the four generators; every higher degree
-coincides with the Lie subalgebra h generated by delbar and del, so bases are
-built degree by degree as graded commutators [delbar, -] and [del, -] against
-the previous basis, with a greedy exact-rank selection making the result
-deterministic.
+commutator.  Degree 1 is spanned by the four generators; above it g equals
+the Lie subalgebra h generated by delbar and del.  Only h is built, degree
+by degree, as graded commutators [delbar, -] and [del, -] against the
+previous basis, with a greedy exact-rank selection making it deterministic;
+g's basis above degree 1 is h's with some elements times -1/2 (``_g_basis``).
 
-Each degree of g or h is built once, into one cached record: its bracket
-words and elements, and, on first use, their values, their rows in
-``basis_A(k)`` and the echelon form of those rows.  ``lie_basis``,
-``h_basis``, the g and h carriers of the cohomology layer and the
-Maurer-Cartan check all read that record, and a ``LieElement`` is
-certified by reducing its row once against the echelon form.
+Each degree of h is built once, into one cached record: its bracket words
+and elements, and, on first use, their values, their rows in ``basis_A(k)``
+and the echelon form of those rows; g's record keeps h's words.
+``lie_basis``, ``h_basis``, the g and h carriers of the cohomology layer
+and the Maurer-Cartan check read these records, and a ``LieElement`` above
+degree 1 is certified by reducing its row once against h's echelon form.
 
 Two derivations of the free Lie algebra on delbar, del are provided:
 
@@ -41,7 +41,7 @@ from .algebra import (
 )
 from .errors import InvalidDegree, OutOfDomain
 from .linalg import Row, SpanReducer
-from .scalars import Scalar, ZERO
+from .scalars import HALF, Scalar, ZERO
 
 #: nested-tuple bracket expressions over the leaves below
 BracketWord = Union[str, tuple]
@@ -108,9 +108,9 @@ def d_lie() -> LieElement:
 
 
 def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
-    return value.is_zero() or _graded_basis(GENERATORS, degree).span.contains(
-        row_in_A(value, degree)
-    )
+    # g_1 is all of A_1, and g_k = h_k for k >= 2
+    return (degree == 1 or value.is_zero()
+            or _graded_basis(degree).span.contains(row_in_A(value, degree)))
 
 
 @dataclass(frozen=True)
@@ -137,24 +137,23 @@ class _GradedBasis:
         return SpanReducer(self.rows)
 
 
-# 2 seeds (g and h) x 32 degrees; dim A_k = 9 * 2^(k-2) keeps far fewer
-# degrees within reach
-@lru_cache(maxsize=64)
-def _graded_basis(seed: tuple[str, ...], k: int) -> _GradedBasis:
-    """Degree-k basis grown from the degree-1 generators ``seed``, with the
-    bracket word that produced each element.
+# 32 degrees; dim A_k = 9 * 2^(k-2) keeps far fewer within reach
+@lru_cache(maxsize=32)
+def _graded_basis(k: int) -> _GradedBasis:
+    """Degree-k basis of h, grown from delbar and del, with the bracket word
+    that produced each element.
 
     For k >= 2 the candidates are the commutators [delbar, b] then [del, b]
     over the degree k-1 basis, and a maximal independent subset is selected
     greedily in that order.
     """
     if k == 1:
-        return _GradedBasis(1, tuple((sym, lie_generator(sym)) for sym in seed))
+        return _GradedBasis(1, tuple((sym, lie_generator(sym)) for sym in (DELBAR, DEL)))
     reducer = SpanReducer()
     selected: list[tuple[BracketWord, LieElement]] = []
     for g in (DELBAR, DEL):
         g_elt = generator_element(g)
-        for expr, h in _graded_basis(seed, k - 1).pairs:
+        for expr, h in _graded_basis(k - 1).pairs:
             candidate = graded_commutator(g_elt, h.value)
             if candidate.is_zero():
                 continue
@@ -163,17 +162,37 @@ def _graded_basis(seed: tuple[str, ...], k: int) -> _GradedBasis:
     return _GradedBasis(k, tuple(selected))
 
 
+def _del_del_root(word: BracketWord) -> bool:
+    return word == (DEL, DEL) or not isinstance(word[1], str) and _del_del_root(word[1])
+
+
+@lru_cache(maxsize=32)
+def _g_basis(k: int) -> _GradedBasis:
+    """Degree-k basis of g: the four generators, and above degree 1 h's
+    record with its elements rescaled and its bracket words kept."""
+    if k == 1:
+        return _GradedBasis(1, tuple((sym, lie_generator(sym)) for sym in GENERATORS))
+    # g_2 is [delbar, delbar], [delbar, del], [delbar, mu] and h_2 is
+    # [delbar, delbar], [delbar, del], [del, del], where [delbar, mu] =
+    # -1/2 [del, del] by the relation [mu, delbar] + 1/2 [del, del] = 0.
+    # Every later candidate in either tower is [delbar, b] or [del, b] over
+    # the previous basis, and a greedy independent choice does not change
+    # when candidates are rescaled by nonzero scalars.  So element n of g_k
+    # is element n of h_k, times -1/2 when its word grows from (del, del).
+    pairs = _graded_basis(k).pairs
+    return _GradedBasis(k, tuple((w, b.scale(-HALF) if _del_del_root(w) else b) for w, b in pairs))
+
+
 def lie_basis(k: int) -> tuple[LieElement, ...]:
-    """Deterministic basis of the degree-k piece of g, grown from the four
-    generators."""
+    """Deterministic basis of the degree-k piece of g (see :func:`h_basis`)."""
     if k < 1:
         raise InvalidDegree(f"lie_basis needs a positive degree, got {k}")
-    return tuple(b for _, b in _graded_basis(GENERATORS, k).pairs)
+    return tuple(b for _, b in _g_basis(k).pairs)
 
 
 def dim_g(k: int) -> int:
-    """Dimension of the degree-k piece of g."""
-    return len(lie_basis(k))
+    """Dimension of the degree-k piece of g, which is h's for k >= 2."""
+    return dim_h(k) if k >= 2 else len(lie_basis(k))
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
@@ -205,14 +224,13 @@ def bracket_word_value(expr: BracketWord) -> AlgebraElement:
 def h_basis(k: int) -> tuple[tuple[BracketWord, LieElement], ...]:
     """Basis of the degree-k piece of h, with defining bracket expressions.
 
-    Unlike :func:`lie_basis`, every element is produced by a bracket word in
-    delbar and del only, which is what the derivations D_mubar and D_mu need.
-    For k >= 2 the two constructions span the same space, but from degree 2
-    on their elements can differ by scalars.
+    Every element is the value of a bracket word in delbar and del, as the
+    derivations D_mubar and D_mu need.  For k >= 2, element n of lie_basis(k)
+    is element n here, times -1/2 if its word grows from (del, del), else 1.
     """
     if k < 1:
         raise InvalidDegree(f"h_basis needs a positive degree, got {k}")
-    return _graded_basis((DELBAR, DEL), k).pairs
+    return _graded_basis(k).pairs
 
 
 def dim_h(k: int) -> int:
@@ -220,8 +238,6 @@ def dim_h(k: int) -> int:
 
 
 # -- derivations --------------------------------------------------------------
-
-_HALF = Scalar(1) / Scalar(2)
 
 
 def _derivation_on_leaf(which: str, leaf: str) -> AlgebraElement:
@@ -231,10 +247,10 @@ def _derivation_on_leaf(which: str, leaf: str) -> AlgebraElement:
         if leaf == DELBAR:
             return AlgebraElement.zero()
         if leaf == DEL:
-            return graded_commutator(delbar, delbar).scale(-_HALF)
+            return graded_commutator(delbar, delbar).scale(-HALF)
     elif which == D_MU:
         if leaf == DELBAR:
-            return graded_commutator(del_, del_).scale(-_HALF)
+            return graded_commutator(del_, del_).scale(-HALF)
         if leaf == DEL:
             return AlgebraElement.zero()
         if leaf == D_MUBAR:

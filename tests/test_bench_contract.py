@@ -133,6 +133,7 @@ def _queries(tmp_path):
 def _lie_tower(tmp_path):
     lie = importlib.import_module("acalg.lie")
     lie._graded_basis.cache_clear()
+    lie._g_basis.cache_clear()
     importlib.import_module("acalg.algebra")._rewrite_cached.cache_clear()
     for k in range(1, 5):
         yield lambda k=k: lie.dim_g(k) == (4, 3, 2, 3)[k - 1]

@@ -41,6 +41,7 @@ from acalg.lie import d_lie, lie_generator
 from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
 from acalg.mc import d_st, g1_coordinates, g1_element
 from acalg.scalars import I, ONE
+from lie_reference import reference_graded_basis
 from vectors import apply, same_span, transpose
 
 def gen(sym):
@@ -125,11 +126,14 @@ def reference_ad_columns(value, k, carrier):
 
 
 class _UncachedLieCarrier(_LieCarrier):
-    """The built-in g carrier as an object of its own, so its maps are
-    built and cached apart from those of g."""
+    """g as a carrier of its own, read from the two-seed reference builder,
+    so its maps are built and cached apart from those of g."""
 
     def __init__(self):
-        super().__init__("g", GENERATORS)
+        super().__init__("g")
+
+    def _record(self, k):
+        return reference_graded_basis(GENERATORS, k)
 
 
 class _MixedLieCarrier(_UncachedLieCarrier):

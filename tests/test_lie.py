@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -16,12 +17,14 @@ from acalg.algebra import (
     restrict_to_B,
     row_in_A,
 )
+from acalg.cohomology import get_carrier
 from acalg.errors import InvalidDegree, NotInSubalgebra, OutOfDomain
 from acalg.lie import (
     D_MU,
     D_MUBAR,
     HolElement,
     LieElement,
+    _g_basis,
     _graded_basis,
     bracket,
     d_lie,
@@ -35,7 +38,10 @@ from acalg.lie import (
 )
 from acalg.linalg import SpanReducer
 from acalg.scalars import ONE, ZERO, Scalar
+from lie_reference import reference_graded_basis
 from vectors import same_span
+
+lie = importlib.import_module("acalg.lie")
 
 
 def super_pbw_dims(max_k):
@@ -114,6 +120,7 @@ def test_lie_basis_degree_one():
 
 def test_graded_basis_cache_is_bounded():
     assert _graded_basis.cache_info().maxsize is not None
+    assert _g_basis.cache_info().maxsize is not None
 
 
 def test_lie_dims_match_series_oracle():
@@ -215,13 +222,59 @@ def test_certification_matches_the_reference(k):
 
 def test_dimensions_build_no_rows_or_spans():
     _graded_basis.cache_clear()
+    _g_basis.cache_clear()
+    for k in range(2, 9):
+        dim_g(k)
+    # above degree 1, dim g_k is read off h's record
+    assert _g_basis.cache_info().currsize == 0
     for k in range(1, 9):
         dim_g(k)
         dim_h(k)
-    for seed in (GENERATORS, (DELBAR, DEL)):
-        for k in range(1, 9):
-            built = vars(_graded_basis(seed, k))
-            assert "rows" not in built and "span" not in built, (seed, k)
+        built = vars(_graded_basis(k))
+        assert "rows" not in built and "span" not in built, k
+    assert "rows" not in vars(_g_basis(1)) and "span" not in vars(_g_basis(1))
+
+
+def test_degree_one_certification_builds_no_span(monkeypatch):
+    _graded_basis.cache_clear()
+    _g_basis.cache_clear()
+    monkeypatch.setattr(lie, "SpanReducer", None)
+    rng = random.Random(1)
+    for _ in range(50):
+        value = AlgebraElement.zero()
+        for sym in GENERATORS:
+            value = value + generator_element(sym).scale(Fraction(rng.randint(-3, 3), 2))
+        assert LieElement(value, 1).value == value
+    assert LieElement(d_lie().value).degree == 1
+    assert _graded_basis.cache_info().currsize == _g_basis.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_one_tower_matches_the_two_seed_reference(k):
+    g_ref, h_ref = reference_graded_basis(GENERATORS, k), reference_graded_basis((DELBAR, DEL), k)
+    assert lie_basis(k) == tuple(b for _, b in g_ref.pairs)
+    assert h_basis(k) == h_ref.pairs
+    assert get_carrier("g").rows(k) == g_ref.rows
+    assert dim_g(k) == len(g_ref.pairs)
+    # certification accepts and rejects exactly as the reference's span does
+    rng = random.Random(f"tower-{k}")
+    basis, monomials = lie_basis(k), basis_A(k)
+    verdicts = set()
+    for _ in range(40):
+        value = AlgebraElement.zero()
+        for b in rng.sample(basis, min(3, len(basis))):
+            value = value + b.value.scale(rng.randint(-2, 2))
+        for mono in rng.sample(monomials, rng.choice((0, 1))):
+            value = value + AlgebraElement({mono: Scalar(rng.choice((-1, 1)))})
+        expected = value.is_zero() or g_ref.span.contains(row_in_A(value, k))
+        verdicts.add(expected)
+        try:
+            accepted = LieElement(value, k).value == value
+        except OutOfDomain:
+            accepted = False
+        assert accepted == expected, (k, str(value))
+    # degree 1 of g is all of A_1
+    assert verdicts == ({True} if k == 1 else {True, False})
 
 
 def test_ideal_property():

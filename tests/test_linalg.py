@@ -14,9 +14,10 @@ from acalg.algebra import (
     row_in_A,
 )
 from acalg.cohomology import ad_matrix
-from acalg.lie import _graded_basis, d_lie, lie_generator
+from acalg.lie import d_lie, lie_generator
 from acalg.linalg import ExactMatrix, SpanReducer, combine, solve_columns
 from acalg.scalars import HALF as H, I, GaussianRational, ONE, ZERO, as_scalar
+from lie_reference import reference_graded_basis
 from vectors import apply, as_dense, as_row, columns, same_span, transpose
 
 try:  # sympy is a test-only dependency (the ``test`` extra)
@@ -67,6 +68,14 @@ def test_rows_fix_ncols_when_it_is_not_given():
     assert ExactMatrix([[ONE, ZERO]], ncols=2).shape == (1, 2)
     assert ExactMatrix([], ncols=3).shape == (0, 3)
     assert ExactMatrix([]).shape == (0, 0)
+
+
+def test_transpose_keeps_the_shape_of_empty_matrices():
+    for nrows, ncols in [(0, 3), (3, 0), (0, 0)]:
+        assert transpose(ExactMatrix.zeros(nrows, ncols)).shape == (ncols, nrows)
+    m = rand_matrix(random.Random(5), 2, 3)
+    assert transpose(m).shape == (3, 2)
+    assert transpose(transpose(m)) == m
 
 
 def test_rank_row_vs_column_echelon():
@@ -569,10 +578,11 @@ def test_engine_matches_reference_on_random_sparse_matrices(kind):
 
 
 def builder_candidate_rows(seed, k):
-    """The rows the degree-k basis builder offers its reducer, in order."""
+    """The rows the degree-k basis builder grown from ``seed`` offers its
+    reducer, in order."""
     rows = []
     for g in (DELBAR, DEL):
-        for value in _graded_basis(seed, k - 1).values:
+        for value in reference_graded_basis(seed, k - 1).values:
             candidate = graded_commutator(generator_element(g), value)
             if not candidate.is_zero():
                 rows.append(row_in_A(candidate, k))

@@ -29,7 +29,8 @@ def columns(matrix: ExactMatrix):
 
 
 def transpose(matrix: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix([list(col) for col in zip(*matrix.rows)], ncols=matrix.nrows)
+    """The transpose: its columns are the rows of ``matrix``."""
+    return ExactMatrix.from_columns([as_row(row) for row in matrix.rows], nrows=matrix.ncols)
 
 
 def apply(matrix: ExactMatrix, vec):
