@@ -305,8 +305,9 @@ def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
     return passes[head]
 
 
-#: shared scalars for the small integer coefficients of normal forms
-_INT_SCALARS = {n: Scalar(n) for n in range(-16, 17) if n}
+#: shared scalars for the small integer coefficients of normal forms; 1 is
+#: the shared ONE, which ``combine`` adds without multiplying
+_INT_SCALARS = {n: ONE if n == 1 else Scalar(n) for n in range(-16, 17) if n}
 
 
 def _element(state: dict[int, int]) -> "AlgebraElement":

@@ -39,9 +39,9 @@ The g and h carriers read each degree's basis, and its rows in A, from
 commutation of ad_mubar with left multiplication by delbar, and the
 node-by-node exactness of the induced long sequence on cohomology.
 ``frolicher_E1`` computes the two-step page H(H(-, ad_mubar), ad_delbar).
-Both read column maps built once: the cached generator maps, the columns of
-left multiplication by delbar and del on B, and the connecting map's
-columns, read off the word index of B.
+Both read the cached generator maps; left multiplication by delbar and del
+on B, the splitting and the connecting map are read off B's word index,
+where word n of B_k is n in binary (see ``_words``).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .algebra import (
-    DEL,
     DELBAR,
     GENERATORS,
     MUBAR,
@@ -60,7 +59,6 @@ from .algebra import (
     generator_coefficients,
     generator_element,
     graded_commutator,
-    product,
     restrict_to_B,
     row_in_A,
     words_of_length,
@@ -142,6 +140,14 @@ class _Words:
 # B_k has 2^k words: far fewer than 32 degrees can ever be built
 @lru_cache(maxsize=32)
 def _words(k: int) -> _Words:
+    """B_k, listed as ``itertools.product((delbar, del), repeat=k)``.
+
+    So word n is n written in k binary digits, delbar 0 and del 1, the first
+    letter the most significant digit.  This index is the one statement of
+    B's splitting B_{k+1} = del*B_k + delbar*B_k: delbar*b_n is word n of
+    B_{k+1} and del*b_n is word 2^k + n; a word of B_{k+1} starts with del
+    exactly when its index is >= 2^k, and its rest is word n mod 2^k.
+    """
     monomials = tuple(NormalMonomial(word) for word in words_of_length(k))
     return _Words(
         monomials,
@@ -412,23 +418,11 @@ def split_B(k: int, b: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
     )
 
 
-def _first_letters(k: int) -> list[tuple[str, int]]:
-    """Each word of B_k, k >= 1, as its first letter and the index of the
-    rest in B_{k-1}: split_B on words."""
-    rest = _words(k - 1).index
-    return [(mono.head[0], rest[NormalMonomial(mono.head[1:])]) for mono in _words(k).monomials]
-
-
 def _delta_columns(k: int) -> list[Row]:
-    """The columns of the connecting map B_k -> B_{k-1}: del*x + delbar*y -> x."""
-    return [{i: ONE} if letter == DEL else {} for letter, i in _first_letters(k)]
-
-
-def _left_columns(g: str, k: int) -> list[Row]:
-    """The columns of b -> g b from B_k to B_{k+1}, read off ``product``."""
-    carrier = CARRIERS["B"]
-    g_elt = generator_element(g)
-    return carrier.coordinates([product(g_elt, b) for b in carrier.basis(k)], k + 1)
+    """The columns of the connecting map B_k -> B_{k-1}, k >= 1:
+    del*x + delbar*y -> x, read off the word index."""
+    half = 1 << k - 1
+    return [{n - half: ONE} if n >= half else {} for n in range(2 * half)]
 
 
 @dataclass
@@ -462,47 +456,33 @@ class LesReport:
 
 
 def _cone_failures(
-    k_max: int,
-    ad_columns: Callable[[int], Sequence[Row]],
-    delbar_columns: Sequence[Sequence[Row]],
+    k_max: int, ad_columns: Callable[[int], Sequence[Row]]
 ) -> tuple[list[str | None], list[str | None]]:
     """The witnesses of les_check's parts (a) and (b) for B_0 .. B_{k_max - 1},
     None where a degree passes: the first failing word of each degree.
 
-    Everything is a word row: ``ad_columns(k)`` and ``delbar_columns[k]`` are
-    the columns of ad_mubar and of left multiplication by delbar out of B_k,
-    left multiplication by del is read off ``product`` word by word, and a
-    row of B_{k+2} splits by the first letter of each word.
+    ``ad_columns(k)`` are the word rows of ad_mubar out of B_k, and the word
+    maps come from the word index (see ``_words``): delbar*b_n and del*b_n
+    are words n and 2^k + n of B_{k+1}, so ad_mubar sends them to its
+    columns n and 2^k + n; delbar*r and del*r are a row r of B_{k+1} itself
+    and r shifted by 2^(k+1), so B_{k+2} splits at 2^(k+1).
     """
     carrier = CARRIERS["B"]
-    del_columns = [_left_columns(DEL, k) for k in range(k_max)]
     block_fails: list[str | None] = []
     skew_fails: list[str | None] = []
     for k in range(0, k_max):
-        split_at = _first_letters(k + 2)
-
-        def split(row: Row) -> tuple[Row, Row]:
-            """The rows of (x, y) with row = del x + delbar y."""
-            parts: dict[str, Row] = {DEL: {}, DELBAR: {}}
-            for j, c in row.items():
-                letter, i = split_at[j]
-                parts[letter][i] = c
-            return parts[DEL], parts[DELBAR]
-
+        size = 1 << k  # dim B_k
         block_fail = skew_fail = None
-        ad, ad_up, delbar_up = ad_columns(k), ad_columns(k + 1), delbar_columns[k + 1]
-        for n, (ad_base, delbar_base, del_base) in enumerate(
-            zip(ad, delbar_columns[k], del_columns[k])
-        ):
-            minus_ad_base = {j: -c for j, c in ad_base.items()}
-            ad_delbar_base = _image(ad_up, delbar_base)
-            if block_fail is None and (
-                split(_image(ad_up, del_base))
-                != (minus_ad_base, {j: -c for j, c in delbar_base.items()})
-                or split(ad_delbar_base) != ({}, minus_ad_base)
-            ):
+        ad_up = ad_columns(k + 1)
+        for n, ad_base in enumerate(ad_columns(k)):
+            # (b) is ad_mubar(delbar*b) = -delbar*ad_mubar(b); (a) asks that
+            # and ad_mubar(del*b) = -del*ad_mubar(b) - delbar*b
+            minus_delbar_ad = {j: -c for j, c in ad_base.items()}
+            minus_del_ad = {2 * size + j: c for j, c in minus_delbar_ad.items()}
+            skew_bad = ad_up[n] != minus_delbar_ad
+            if block_fail is None and (skew_bad or ad_up[size + n] != {n: -ONE} | minus_del_ad):
                 block_fail = f"block identity fails on {carrier.basis(k)[n]}"
-            if skew_fail is None and ad_delbar_base != _image(delbar_up, minus_ad_base):
+            if skew_fail is None and skew_bad:
                 skew_fail = f"skew-commutation fails on {carrier.basis(k)[n]}"
             if block_fail and skew_fail:
                 break
@@ -519,14 +499,12 @@ def les_check(k_max: int) -> LesReport:
     report = LesReport(k_max)
     carrier = get_carrier("B")
     mubar = generator_element(MUBAR)
-    # read by all three parts; the del columns live in (a) and (b) only
-    delbar_columns = [_left_columns(DELBAR, k) for k in range(k_max + 1)]
 
     # (a) the 2x2 block identity through the splitting (x, y) -> del x + delbar y
     # (b) ad_mubar skew commutes with left multiplication by delbar
     # both read ad_mubar off its cached word rows, which (c) builds anyway
     block_fails, skew_fails = _cone_failures(
-        k_max, lambda k: _generator_columns(MUBAR, k, carrier), delbar_columns
+        k_max, lambda k: _generator_columns(MUBAR, k, carrier)
     )
     for k, witness in enumerate(block_fails, start=1):
         report.add("cone-block-identity", k, witness is None, witness)
@@ -538,7 +516,8 @@ def les_check(k_max: int) -> LesReport:
     up: dict[int, ExactMatrix] = {-1: ExactMatrix.zeros(data[0].dim, 0)}
     down: dict[int, ExactMatrix] = {}
     for j in range(0, k_max):
-        up[j] = induced_map(data[j], data[j + 1], delbar_columns[j])
+        # delbar*b_n is word n of B_{j+1}, so delbar's columns are units
+        up[j] = induced_map(data[j], data[j + 1], [{n: ONE} for n in range(1 << j)])
     for j in range(1, k_max + 1):
         down[j] = induced_map(data[j], data[j - 1], _delta_columns(j))
 

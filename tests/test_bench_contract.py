@@ -108,7 +108,10 @@ def test_a_traced_cold_product_records_rewrite_word():
 
 def _cone_B(tmp_path):
     cohomology = importlib.import_module("acalg.cohomology")
+    # both caches, as in a fresh process: les_check reaches product only
+    # through the ad maps it builds
     cohomology._cohomology_data_cached.cache_clear()
+    cohomology._generator_columns.cache_clear()
     mubar = importlib.import_module("acalg.algebra").generator_element("mubar")
     yield lambda: cohomology.les_check(3).passed
     yield lambda: cohomology.cohomology_dims(mubar, 3, "B") == {0: 1, 1: 1, 2: 1, 3: 1}

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from acalg.cohomology import (
     _cone_failures,
     _delta_columns,
     _generator_columns,
-    _left_columns,
     _squares_to_zero,
     _words,
     ad_matrix,
@@ -312,18 +312,32 @@ def test_les_check_passes():
     )
 
 
-def test_les_check_witness_is_the_first_failing_base(monkeypatch):
-    # a left multiplication by delbar that is wrong on one word of B_2 breaks
-    # the block identity at degree 3 and skew-commutation at degree 2 there;
-    # the cohomology part is stopped before it starts
-    module = importlib.import_module("acalg.cohomology")
-    bad = get_carrier("B").basis(2)[2]
-    delbar = gen(DELBAR)
+def ad_from_columns(columns):
+    """The element map whose word rows out of B_j are ``columns[j]``."""
+    carrier = get_carrier("B")
 
-    def broken_product(a, b):
-        if a == delbar and b == bad:
-            return AlgebraElement.zero()
-        return product(a, b)
+    def ad_mubar(x):
+        if x.is_zero():
+            return x
+        j = x.degree()
+        out = {}
+        for i, c in carrier.coordinates([x], j)[0].items():
+            for m, y in columns[j][i].items():
+                out[m] = out.get(m, 0 * ONE) + c * y
+        return carrier.element({m: y for m, y in out.items() if y}, j + 1)
+
+    return ad_mubar
+
+
+def test_les_check_witness_is_the_first_failing_base(monkeypatch):
+    # ad_mubar wrong on one word of B_2 breaks the block identity at degree
+    # 2, where that word is del*delbar, and at degree 3, and skew-commutation
+    # at degree 2; the cohomology part is stopped before it starts
+    module = importlib.import_module("acalg.cohomology")
+    carrier = get_carrier("B")
+    columns = {j: _generator_columns(MUBAR, j, carrier) for j in range(0, 5)}
+    columns[2] = [dict(r) for r in columns[2]]
+    columns[2][2] = {}
 
     class Stop(Exception):
         pass
@@ -338,22 +352,48 @@ def test_les_check_witness_is_the_first_failing_base(monkeypatch):
             super().__init__(*args)
             reports.append(self)
 
-    monkeypatch.setattr(module, "product", broken_product)
+    monkeypatch.setattr(module, "_generator_columns", lambda sym, k, c: columns[k])
     monkeypatch.setattr(module, "cohomology_data", stop)
     monkeypatch.setattr(module, "LesReport", Report)
     with pytest.raises(Stop):
         les_check(4)
+    block, skew = reference_cone_failures(4, ad_from_columns(columns))
+    want = [("cone-block-identity", k, w) for k, w in enumerate(block, start=1) if w]
+    want += [("skew-commutation", k, w) for k, w in enumerate(skew) if w]
     failed = [(r.name, r.degree, r.witness) for r in reports[0].records if not r.passed]
+    assert failed == want
     assert failed == [
-        ("cone-block-identity", 3, f"block identity fails on {bad}"),
-        ("skew-commutation", 2, f"skew-commutation fails on {bad}"),
+        ("cone-block-identity", 2, f"block identity fails on {carrier.basis(1)[0]}"),
+        ("cone-block-identity", 3, f"block identity fails on {carrier.basis(2)[2]}"),
+        ("skew-commutation", 2, f"skew-commutation fails on {carrier.basis(2)[2]}"),
     ]
     assert len(reports[0].records) == 8
 
 
+def test_les_check_with_warm_ad_maps_calls_no_product(monkeypatch):
+    les_check(6)
+    # a cold cohomology cache, so (c) builds its kernels and images again
+    _cohomology_data_cached.cache_clear()
+    algebra = importlib.import_module("acalg.algebra")
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("acalg"):
+            for attr, value in list(vars(module).items()):
+                if value is algebra.product:
+                    monkeypatch.setattr(module, attr, counted)
+    assert les_check(6).passed
+    assert calls == []
+
+
 def reference_cone_failures(k_max, ad_mubar):
-    """les_check's parts (a) and (b) element by element, as les_check ran
-    them before it read ad_mubar off the cached word rows."""
+    """les_check's parts (a) and (b) element by element, with product and
+    split_B, as les_check ran them before it read ad_mubar off the cached
+    word rows and the word maps off the word index."""
     carrier = get_carrier("B")
     delbar, del_ = gen(DELBAR), gen(DEL)
     block_fails, skew_fails = [], []
@@ -402,18 +442,8 @@ def test_a_corrupted_column_fails_both_passes_alike(k, n, how):
     else:
         del row[next(iter(row))]
 
-    def ad_mubar(x):
-        if x.is_zero():
-            return x
-        j = x.degree()
-        out = {}
-        for i, c in carrier.coordinates([x], j)[0].items():
-            for m, y in columns[j][i].items():
-                out[m] = out.get(m, 0 * ONE) + c * y
-        return carrier.element({m: y for m, y in out.items() if y}, j + 1)
-
-    failures = _cone_failures(6, columns.__getitem__, [_left_columns(DELBAR, j) for j in range(7)])
-    assert failures == reference_cone_failures(6, ad_mubar)
+    failures = _cone_failures(6, columns.__getitem__)
+    assert failures == reference_cone_failures(6, ad_from_columns(columns))
     assert any(w is not None for w in failures[0] + failures[1])
 
 
@@ -646,14 +676,16 @@ def test_induced_maps_match_the_per_vector_reference():
 
 
 def test_les_check_columns_match_the_element_maps():
-    mubar = lie_generator(MUBAR)
-    data = {k: cohomology_data(mubar, k, "B") for k in range(0, 10)}
-    for k in range(0, 9):
-        for sym in (DELBAR, DEL):
-            want = columns_of(lambda x: product(gen(sym), x), data[k], data[k + 1])
-            assert _left_columns(sym, k) == want, (sym, k)
-    for k in range(1, 9):
-        want = columns_of(lambda x: split_B(k, x)[0], data[k], data[k - 1])
+    # the word index (see cohomology._words): delbar*b_n and del*b_n are
+    # words n and 2^k + n of B_{k+1}, and the connecting map strips a del
+    carrier = get_carrier("B")
+    for k in range(0, 10):
+        up = carrier.basis(k + 1)
+        for n, b in enumerate(carrier.basis(k)):
+            assert product(gen(DELBAR), b) == up[n], (k, n)
+            assert product(gen(DEL), b) == up[2**k + n], (k, n)
+    for k in range(1, 10):
+        want = carrier.coordinates([split_B(k, b)[0] for b in carrier.basis(k)], k - 1)
         assert _delta_columns(k) == want, k
 
 
