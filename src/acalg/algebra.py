@@ -184,7 +184,8 @@ UNIT_MONOMIAL = NormalMonomial()
 # digit per letter: delbar "0", del "1", mubar "2", mu "3".  A normal monomial
 # is the int  head << 2 | tail index  (the index into TAILS), where head reads
 # the head word as a binary number (delbar 0, del 1) behind a leading 1 that
-# marks its length: int(b"1" + head digits, 2).
+# marks its length: int(b"1" + head digits, 2).  So word n of B_k, in the
+# order ``words_of_length(k)`` lists them, is the packed head  1 << k | n.
 
 _CODE = {sym: n for n, sym in enumerate(HEAD_LETTERS + (MUBAR, MU))}
 _BYTE = {sym: ord(str(n)) for sym, n in _CODE.items()}
@@ -284,15 +285,14 @@ def _monomial(packed: int) -> NormalMonomial:
 
 
 _PASSES_SIZE = 1 << 12
-#: _PASSES[y][head]: the ending branches of y passing a whole packed head,
-#: as (coeff, packed monomial with tail index 0); filled by _passing
+#: _PASSES[y][head]: _passes(y, head), filled by _passing for rewrite_word
 _PASSES: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {y: {} for y in PASS}
 
 
-def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
-    passes = _PASSES[y]
-    if len(passes) >= _PASSES_SIZE:
-        passes.clear()
+def _passes(y: int, head: int) -> tuple[tuple[int, int], ...]:
+    """The ending branches y leaves as it passes the packed head ``head``,
+    as (coeff, packed monomial with tail index 0): y.head is
+    (-1)^len(head) head.y plus these.  Pure; ``_passing`` caches it."""
     out = []
     sign = 1
     # bit j of head is the head letter with j letters to its right
@@ -301,8 +301,28 @@ def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
             ended = (head >> j + 1 << length | bits) << j | head & (1 << j) - 1
             out.append((sign * c, ended << 2))
         sign = -sign
-    passes[head] = tuple(out)
-    return passes[head]
+    return tuple(out)
+
+
+def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
+    cache = _PASSES[y]
+    if len(cache) >= _PASSES_SIZE:
+        cache.clear()
+    cache[head] = out = _passes(y, head)
+    return out
+
+
+def passing_rows(sym: str, k: int) -> list[dict[int, Scalar]]:
+    """For each word n of B_k, the packed head 1 << k | n, the ending
+    branches mubar or mu leaves as it passes that word, as a row over the
+    words of B_{k+1}: sym.w = (-1)^k w.sym plus the row.  Read off
+    ``_passes`` directly, so B's 2^k heads never fill ``_PASSES``."""
+    y, size = _BYTE[sym], 1 << k
+    top = size << 1
+    return [
+        {(packed >> 2) - top: _INT_SCALARS[c] for c, packed in _passes(y, size | n)}
+        for n in range(size)
+    ]
 
 
 #: shared scalars for the small integer coefficients of normal forms; 1 is

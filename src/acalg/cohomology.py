@@ -29,6 +29,9 @@ generator's map is built once per (generator, degree, carrier) and kept in
 a bounded cache; every differential's map is assembled from them, so the
 map out of degree k also serves as the map into degree k + 1.  Each
 generator must map the carrier into itself, as all four do on g, h and B.
+On B the generator maps are integer arithmetic on the word index (see
+``_word_columns``); on g, h and any other carrier they are commutators
+solved for their coordinates.
 
 The generator maps and the cohomology data are cached by the carrier object
 itself, so the built-in carriers and any other ``Carrier`` take one path.
@@ -53,12 +56,14 @@ from typing import Callable, Sequence
 from .algebra import (
     DELBAR,
     GENERATORS,
+    MU,
     MUBAR,
     AlgebraElement,
     NormalMonomial,
     generator_coefficients,
     generator_element,
     graded_commutator,
+    passing_rows,
     restrict_to_B,
     row_in_A,
     words_of_length,
@@ -143,7 +148,8 @@ def _words(k: int) -> _Words:
     """B_k, listed as ``itertools.product((delbar, del), repeat=k)``.
 
     So word n is n written in k binary digits, delbar 0 and del 1, the first
-    letter the most significant digit.  This index is the one statement of
+    letter the most significant digit: the rewrite engine's packed head
+    1 << k | n (see ``algebra``).  This index is the one statement of
     B's splitting B_{k+1} = del*B_k + delbar*B_k: delbar*b_n is word n of
     B_{k+1} and del*b_n is word 2^k + n; a word of B_{k+1} starts with del
     exactly when its index is >= 2^k, and its rest is word n mod 2^k.
@@ -231,15 +237,44 @@ def _ad_columns(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
     return [combine((c, m[n]) for c, m in maps) for n in range(carrier.dim(k))]
 
 
-# 3 built-in carriers x 4 generators x 32 degrees, the degree bound of
-# `_words`; the rows are shared, so `_ad_columns` only reads them
+# 3 built-in carriers x 4 generators x 32 degrees: B's map out of B_k has
+# 2^k columns, and g's and h's bases grow geometrically too, so far fewer
+# than 32 degrees can ever be built; the rows are shared, so `_ad_columns`
+# only reads them
 @lru_cache(maxsize=384)
 def _generator_columns(sym: str, k: int, carrier: Carrier) -> list[Row]:
     """Coordinates of [g, b] in degree k + 1, for each b in basis(k), for the
-    generator g named ``sym``."""
+    generator g named ``sym``.
+
+    On B they are read off the word index (``_word_columns``); on any other
+    carrier each commutator is formed and solved for its coordinates.
+    """
+    if isinstance(carrier, _WordCarrier):
+        return _word_columns(sym, k) if k >= 0 else []
     g = generator_element(sym)
     images = [graded_commutator(g, x) for x in carrier.basis(k)]
     return carrier.coordinates(images, k + 1) if images else []
+
+
+def _word_columns(sym: str, k: int) -> list[Row]:
+    """The rows of [g, b_n] in B_{k+1}, for each word n of B_k, by integer
+    arithmetic on the word index (see ``_words``): no product is formed.
+
+    delbar and del: [g, b_n] = g*b_n - (-1)^k b_n*g, where g*b_n is word n
+    (delbar) or 2^k + n (del) of B_{k+1} and b_n*g is word 2n or 2n + 1.
+    mubar and mu: g*b_n = (-1)^k b_n*g plus the ending branches g leaves as
+    it passes b_n's letters, so [g, b_n] is exactly those branches.
+    """
+    if sym in (MUBAR, MU):
+        return passing_rows(sym, k)
+    size = 1 << k
+    left, right = (0, 0) if sym == DELBAR else (size, 1)
+    sign = ONE if k % 2 else -ONE  # -(-1)^k
+    columns = [{left + n: ONE, 2 * n + right: sign} for n in range(size)]
+    # the two words coincide once, at n = 0 (delbar) or n = 2^k - 1 (del)
+    n = 0 if sym == DELBAR else size - 1
+    columns[n] = {left + n: ONE + sign} if k % 2 else {}
+    return columns
 
 
 def ad_matrix(a, k: int, carrier="g") -> GradedMap:

@@ -108,10 +108,12 @@ def test_a_traced_cold_product_records_rewrite_word():
 
 def _cone_B(tmp_path):
     cohomology = importlib.import_module("acalg.cohomology")
-    # both caches, as in a fresh process: les_check reaches product only
-    # through the ad maps it builds
+    # these caches, as in a fresh process: les_check reaches product only
+    # through the check that ad_mubar squares to zero, as B's ad maps are
+    # read off the word index
     cohomology._cohomology_data_cached.cache_clear()
     cohomology._generator_columns.cache_clear()
+    cohomology._squares_to_zero.cache_clear()
     mubar = importlib.import_module("acalg.algebra").generator_element("mubar")
     yield lambda: cohomology.les_check(3).passed
     yield lambda: cohomology.cohomology_dims(mubar, 3, "B") == {0: 1, 1: 1, 2: 1, 3: 1}

@@ -177,6 +177,25 @@ def test_ad_matrix_matches_the_reference(carrier, degrees):
             assert ad_matrix(a, k, carrier).matrix == expected, (str(a.value), k)
 
 
+@pytest.mark.parametrize("sym", GENERATORS)
+def test_B_generator_columns_match_the_product_reference(sym):
+    # B's maps are read off the word index; the reference forms each
+    # commutator by product and reads its coordinates in B_{k+1}
+    carrier = get_carrier("B")
+    g = gen(sym)
+    for k in range(0, 11):
+        columns = _generator_columns(sym, k, carrier)
+        want = carrier.coordinates([graded_commutator(g, b) for b in carrier.basis(k)], k + 1)
+        assert columns == want, (sym, k)
+        # where g*b_n and b_n*g are one word: delbar.delbar^k and del^k.del,
+        # words 0 and 2^(k+1) - 1 of B_(k+1); they add for odd k and cancel
+        # for even k
+        if sym == DELBAR:
+            assert columns[0] == ({0: 2 * ONE} if k % 2 else {}), k
+        elif sym == DEL:
+            assert columns[2**k - 1] == ({2 ** (k + 1) - 1: 2 * ONE} if k % 2 else {}), k
+
+
 @pytest.mark.parametrize("carrier", [_UncachedLieCarrier(), _MixedLieCarrier()])
 def test_uncached_carrier_matches_the_reference(carrier):
     for a in AD_ELEMENTS:
@@ -221,6 +240,41 @@ def test_B_table_is_one_in_every_degree():
     mubar = lie_generator(MUBAR)
     dims = {k: cohomology(mubar, k, "B")[0] for k in range(0, 9)}
     assert dims == {k: 1 for k in range(0, 9)}
+
+
+def pbw_series(dims, k_max):
+    """The coefficients of t^0 .. t^k_max in the Poincare series of the free
+    graded-commutative algebra on dims[j] generators of degree j:
+    prod_{j odd} (1 + t^j)^dims[j] * prod_{j even} (1 - t^j)^-dims[j]."""
+    series = [1] + [0] * k_max
+    for j, count in dims.items():
+        for _ in range(count):
+            if j % 2:
+                for m in range(k_max, j - 1, -1):
+                    series[m] += series[m - j]
+            else:
+                for m in range(j, k_max + 1):
+                    series[m] += series[m - j]
+    return series
+
+
+@pytest.mark.parametrize(
+    "a, k_max", [(gen(MUBAR), 10), (gen(MU), 10), (d_lie(), 8)], ids=["mubar", "mu", "d"]
+)
+def test_B_tables_are_the_symmetric_algebra_of_h_tables(a, k_max):
+    # B = U(h), and by PBW H(U(h), ad a) is the free graded-commutative
+    # algebra on H(h, ad a): an independent certificate of B's tables,
+    # which share no map with h's
+    h_dims = cohomology_dims(a, k_max, "h")
+    B_dims = cohomology_dims(a, k_max, "B")
+    assert list(B_dims.values()) == pbw_series(h_dims, k_max)
+
+
+def test_pbw_series_counts_monomials():
+    assert pbw_series({}, 3) == [1, 0, 0, 0]
+    assert pbw_series({1: 2}, 4) == [1, 2, 1, 0, 0]
+    assert pbw_series({2: 1}, 6) == [1, 0, 1, 0, 1, 0, 1]
+    assert pbw_series({1: 1, 2: 1}, 5) == [1, 1, 1, 1, 1, 1]
 
 
 def test_d_cohomology_table():
@@ -370,24 +424,55 @@ def test_les_check_witness_is_the_first_failing_base(monkeypatch):
     assert len(reports[0].records) == 8
 
 
+def count_calls(monkeypatch, *functions):
+    """Replace each function by a counting wrapper under every name the
+    acalg modules hold it by; returns the list of the calls made."""
+    calls = []
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls.append((function.__name__, args))
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for function in functions:
+        wrapper = counted(function)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("acalg"):
+                for attr, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
 def test_les_check_with_warm_ad_maps_calls_no_product(monkeypatch):
     les_check(6)
     # a cold cohomology cache, so (c) builds its kernels and images again
     _cohomology_data_cached.cache_clear()
-    algebra = importlib.import_module("acalg.algebra")
-    calls = []
-
-    def counted(a, b):
-        calls.append((a, b))
-        return product(a, b)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("acalg"):
-            for attr, value in list(vars(module).items()):
-                if value is algebra.product:
-                    monkeypatch.setattr(module, attr, counted)
+    calls = count_calls(monkeypatch, product)
     assert les_check(6).passed
     assert calls == []
+
+
+def test_les_check_with_cold_ad_maps_calls_no_product(monkeypatch):
+    # B's generator maps come from the word index, so with its differential
+    # already checked les_check rewrites no word at all
+    algebra = importlib.import_module("acalg.algebra")
+    _squares_to_zero(gen(MUBAR))
+    _generator_columns.cache_clear()
+    _cohomology_data_cached.cache_clear()
+    calls = count_calls(monkeypatch, product, algebra.rewrite_word)
+    assert les_check(6).passed
+    assert calls == []
+    # nor do they touch the rewrite engine's bounded cache of passes, which
+    # B_12's 4096 heads would fill and clear
+    passes = {y: dict(cache) for y, cache in algebra._PASSES.items()}
+    carrier = get_carrier("B")
+    for k in range(0, 13):
+        for sym in GENERATORS:
+            _generator_columns(sym, k, carrier)
+    assert algebra._PASSES == passes
 
 
 def reference_cone_failures(k_max, ad_mubar):
