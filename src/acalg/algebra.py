@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
 from .linalg import combine
@@ -108,23 +108,37 @@ def word_bidegree(letters: Iterable[str]) -> tuple[int, int]:
 
 _TAIL_INDEX = {t: n for n, t in enumerate(TAILS)}
 _HEAD_INDEX = {DELBAR: 0, DEL: 1}
+_HEAD_LETTER = {"0": DELBAR, "1": DEL}
 
 
 class NormalMonomial:
-    """A normal-form monomial: head word over {delbar, del} times a tail."""
+    """A normal-form monomial: head word over {delbar, del} times a tail.
 
-    __slots__ = ("head", "tail", "_hash")
+    Its one code is ``packed``: the head read as a binary number n (delbar
+    0, del 1) behind a leading 1 that marks its length, then the tail's
+    index into TAILS in two bits, (1 << len(head) | n) << 2 | tail index.
+    Equality, hashing and order read the code, and so do the positions: the
+    monomial is element start + n of ``basis_A(k)``, with start 0, 2^k,
+    2^k + 2^(k-1) or 2^(k+1) for the tails 1, mubar, mu, mubar.mu
+    (``row_in_A``).
+    """
+
+    __slots__ = ("head", "tail", "packed")
 
     def __init__(self, head: Word = (), tail: Word = ()):
         head = tuple(head)
         tail = tuple(tail)
-        if any(sym not in _HEAD_INDEX for sym in head):
-            raise ValueError(f"head letters must be delbar/del: {head}")
+        code = 1
+        try:
+            for sym in head:
+                code = code << 1 | _HEAD_INDEX[sym]
+        except KeyError:
+            raise ValueError(f"head letters must be delbar/del: {head}") from None
         if tail not in _TAIL_INDEX:
             raise ValueError(f"tail must be one of (), (mubar,), (mu,), (mubar, mu): {tail}")
         self.head = head
         self.tail = tail
-        self._hash = hash((head, tail))
+        self.packed = code << 2 | _TAIL_INDEX[tail]
 
     @classmethod
     def from_letters(cls, letters: Iterable[str]) -> "NormalMonomial":
@@ -149,22 +163,15 @@ class NormalMonomial:
         return word_bidegree(self.letters)
 
     def sort_key(self) -> tuple:
-        """Tail-major order: degree, then tail, then head lex (delbar < del)."""
-        return (
-            self.degree,
-            _TAIL_INDEX[self.tail],
-            tuple(_HEAD_INDEX[s] for s in self.head),
-        )
+        """Tail-major order: degree, then tail, then head lex (delbar < del),
+        which within one degree and tail is the order of the codes."""
+        return (self.degree, self.packed & 3, self.packed)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NormalMonomial)
-            and self.head == other.head
-            and self.tail == other.tail
-        )
+        return isinstance(other, NormalMonomial) and self.packed == other.packed
 
     def __hash__(self) -> int:
-        return self._hash
+        return self.packed
 
     def __lt__(self, other: "NormalMonomial") -> bool:
         return self.sort_key() < other.sort_key()
@@ -182,20 +189,14 @@ UNIT_MONOMIAL = NormalMonomial()
 #
 # rewrite_word works on packed data.  A word is a bytes string with one ASCII
 # digit per letter: delbar "0", del "1", mubar "2", mu "3".  A normal monomial
-# is the int  head << 2 | tail index  (the index into TAILS), where head reads
-# the head word as a binary number (delbar 0, del 1) behind a leading 1 that
-# marks its length: int(b"1" + head digits, 2).  So word n of B_k, in the
-# order ``words_of_length(k)`` lists them, is the packed head  1 << k | n.
+# is its code (see NormalMonomial): the int  head << 2 | tail index, where
+# head reads the head word as a binary number behind a leading 1 that marks
+# its length, int(b"1" + head digits, 2).  So word n of B_k, the n-th in
+# ``itertools.product((delbar, del), repeat=k)``, is the packed head
+# 1 << k | n, and its position in basis_A(k) is n.
 
 _CODE = {sym: n for n, sym in enumerate(HEAD_LETTERS + (MUBAR, MU))}
 _BYTE = {sym: ord(str(n)) for sym, n in _CODE.items()}
-
-
-def _bits(head: Word) -> int:
-    """A head word read as a binary number, without the leading 1."""
-    return int("0" + "".join(str(_CODE[s]) for s in head), 2)
-
-
 _HEAD_BYTES = bytes(_BYTE[s] for s in HEAD_LETTERS)
 _TAIL_BYTES = {bytes(_BYTE[s] for s in tail): n for n, tail in enumerate(TAILS)}
 
@@ -236,9 +237,9 @@ def _extensions(word: Word) -> tuple[tuple[int, int, int], ...]:
     whose tail ``word`` starts with becomes  (mono >> 2 << shift) | add."""
     out = []
     for w, c in _reduce(word).items():
-        mono = NormalMonomial.from_letters(w)
-        add = _bits(mono.head) << 2 | _TAIL_INDEX[mono.tail]
-        out.append((c, len(mono.head) + 2, add))
+        packed = NormalMonomial.from_letters(w).packed
+        shift = packed.bit_length() - 1  # the position of the leading 1
+        out.append((c, shift, packed - (1 << shift)))
     return tuple(out)
 
 
@@ -250,8 +251,8 @@ def _endings(y: str, h: str) -> tuple[tuple[int, int, int], ...]:
     out = []
     for c, w in terms:
         if w != (h, y):
-            assert all(s in HEAD_LETTERS for s in w), (y, h, w)
-            out.append((c, len(w), _bits(w)))
+            head = NormalMonomial(w).packed >> 2
+            out.append((c, len(w), head - (1 << len(w))))
     return tuple(out)
 
 
@@ -275,12 +276,15 @@ _MONO_CACHE: dict[int, NormalMonomial] = {}
 
 
 def _monomial(packed: int) -> NormalMonomial:
+    """The normal monomial with code ``packed``, which it keeps."""
     mono = _MONO_CACHE.get(packed)
     if mono is None:
         if len(_MONO_CACHE) >= _MONO_CACHE_SIZE:
             _MONO_CACHE.clear()
-        head = tuple(HEAD_LETTERS[int(b)] for b in bin(packed >> 2)[3:])
-        mono = _MONO_CACHE[packed] = NormalMonomial(head, TAILS[packed & 3])
+        mono = _MONO_CACHE[packed] = object.__new__(NormalMonomial)
+        mono.head = tuple(map(_HEAD_LETTER.__getitem__, bin(packed >> 2)[3:]))
+        mono.tail = TAILS[packed & 3]
+        mono.packed = packed
     return mono
 
 
@@ -660,17 +664,26 @@ def dim_A(k: int) -> int:
     return (1, 4)[k] if k < 2 else 9 * 2 ** (k - 2)
 
 
-# one entry per degree, bounded as basis_A is
-@lru_cache(maxsize=32)
-def basis_A_index(k: int) -> dict[NormalMonomial, int]:
-    return {mono: n for n, mono in enumerate(basis_A(k))}
-
-
 def row_in_A(elt: AlgebraElement, k: int) -> dict[int, Scalar]:
     """Coordinates of a degree-k homogeneous element in basis_A(k), as a
-    row: the basis index of each monomial -> its (nonzero) coefficient."""
-    index = basis_A_index(k)
-    return {index[mono]: coeff for mono, coeff in elt._terms.items()}
+    row: the basis index of each monomial -> its (nonzero) coefficient.
+
+    Read off each code (see NormalMonomial): the monomial with tail index t
+    and packed head 1 << m | n, m = k - len(tail), sits at start[t] + n.
+    Raises KeyError(monomial) for the first term of another degree.
+    """
+    if k < 0:
+        raise InvalidDegree(f"degree must be nonnegative, got {k}")
+    size = 1 << k
+    starts = (0, size, size + (size >> 1), size << 1)
+    row = {}
+    for mono, coeff in elt._terms.items():
+        head, tail = mono.packed >> 2, mono.packed & 3
+        length = k - len(mono.tail)
+        if head.bit_length() != length + 1:
+            raise KeyError(mono)
+        row[starts[tail] + head - (1 << length)] = coeff
+    return row
 
 
 def restrict_to_B(a: AlgebraElement) -> AlgebraElement:
@@ -685,7 +698,3 @@ def restrict_to_B(a: AlgebraElement) -> AlgebraElement:
     if offending:
         raise NotInSubalgebra(offending)
     return a
-
-
-def words_of_length(k: int) -> Iterator[Word]:
-    return itertools.product(HEAD_LETTERS, repeat=k)

@@ -63,10 +63,10 @@ from .algebra import (
     generator_coefficients,
     generator_element,
     graded_commutator,
+    _monomial,
     passing_rows,
     restrict_to_B,
     row_in_A,
-    words_of_length,
 )
 from .errors import InvalidDegree, NotADifferential, NotWellDefined
 from .lie import LieElement, _g_basis, _graded_basis, _GradedBasis
@@ -133,32 +133,22 @@ class _LieCarrier(Carrier):
         return self._record(k).rows if k >= 1 else ()
 
 
-@dataclass(frozen=True)
-class _Words:
-    """B_k: its words as monomials, their positions, and the basis elements."""
-
-    monomials: tuple[NormalMonomial, ...]
-    index: dict[NormalMonomial, int]
-    basis: tuple[AlgebraElement, ...]
-
-
 # B_k has 2^k words: far fewer than 32 degrees can ever be built
 @lru_cache(maxsize=32)
-def _words(k: int) -> _Words:
-    """B_k, listed as ``itertools.product((delbar, del), repeat=k)``.
+def _words(k: int) -> tuple[AlgebraElement, ...]:
+    """The basis of B_k, listed as ``itertools.product((delbar, del), repeat=k)``.
 
     So word n is n written in k binary digits, delbar 0 and del 1, the first
-    letter the most significant digit: the rewrite engine's packed head
-    1 << k | n (see ``algebra``).  This index is the one statement of
-    B's splitting B_{k+1} = del*B_k + delbar*B_k: delbar*b_n is word n of
+    letter the most significant digit: its code is the packed head
+    1 << k | n with tail index 0 (see ``NormalMonomial``), and its
+    coordinate in B_k is n.  This index is the one statement of B's
+    splitting B_{k+1} = del*B_k + delbar*B_k: delbar*b_n is word n of
     B_{k+1} and del*b_n is word 2^k + n; a word of B_{k+1} starts with del
     exactly when its index is >= 2^k, and its rest is word n mod 2^k.
     """
-    monomials = tuple(NormalMonomial(word) for word in words_of_length(k))
-    return _Words(
-        monomials,
-        {mono: n for n, mono in enumerate(monomials)},
-        tuple(AlgebraElement._of_nonzero({mono: ONE}) for mono in monomials),
+    size = 1 << k
+    return tuple(
+        AlgebraElement._of_nonzero({_monomial((size | n) << 2): ONE}) for n in range(size)
     )
 
 
@@ -171,26 +161,22 @@ class _WordCarrier(Carrier):
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         if k < 0:
             return ()
-        return _words(k).basis
+        return _words(k)
 
     def dim(self, k: int) -> int:
         return 2**k if k >= 0 else 0
 
     def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
-        index = _words(k).index
+        # word n of B_k is element n of A_k too, so its row in A is its row here
         out: list[Row] = []
         for e in elements:
             try:
-                out.append({index[mono]: coeff for mono, coeff in e._terms.items()})
+                out.append(row_in_A(restrict_to_B(e), k))
             except KeyError:
-                restrict_to_B(e)
-                mono = min((m for m in e._terms if m not in index), key=NormalMonomial.sort_key)
+                outside = (m for m in e._terms if m.degree != k)
+                mono = min(outside, key=NormalMonomial.sort_key)
                 raise NotWellDefined(f"degree {mono.degree} term in B_{k}: {mono}") from None
         return out
-
-    def element(self, coords: Row, k: int) -> AlgebraElement:
-        monomials = _words(k).monomials
-        return AlgebraElement({monomials[j]: c for j, c in coords.items()})
 
 
 CARRIERS = {
@@ -261,7 +247,8 @@ def _word_columns(sym: str, k: int) -> list[Row]:
     arithmetic on the word index (see ``_words``): no product is formed.
 
     delbar and del: [g, b_n] = g*b_n - (-1)^k b_n*g, where g*b_n is word n
-    (delbar) or 2^k + n (del) of B_{k+1} and b_n*g is word 2n or 2n + 1.
+    (delbar) or 2^k + n (del) of B_{k+1} and b_n*g is word 2n or 2n + 1;
+    the two coincide once, at n = 0 (delbar) or n = 2^k - 1 (del).
     mubar and mu: g*b_n = (-1)^k b_n*g plus the ending branches g leaves as
     it passes b_n's letters, so [g, b_n] is exactly those branches.
     """
@@ -270,11 +257,7 @@ def _word_columns(sym: str, k: int) -> list[Row]:
     size = 1 << k
     left, right = (0, 0) if sym == DELBAR else (size, 1)
     sign = ONE if k % 2 else -ONE  # -(-1)^k
-    columns = [{left + n: ONE, 2 * n + right: sign} for n in range(size)]
-    # the two words coincide once, at n = 0 (delbar) or n = 2^k - 1 (del)
-    n = 0 if sym == DELBAR else size - 1
-    columns[n] = {left + n: ONE + sign} if k % 2 else {}
-    return columns
+    return [combine(((ONE, {left + n: ONE}), (ONE, {2 * n + right: sign}))) for n in range(size)]
 
 
 def ad_matrix(a, k: int, carrier="g") -> GradedMap:

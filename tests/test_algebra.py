@@ -21,7 +21,6 @@ from acalg.algebra import (
     AlgebraElement,
     NormalMonomial,
     basis_A,
-    basis_A_index,
     d_element,
     dim_A,
     generator_coefficients,
@@ -30,8 +29,10 @@ from acalg.algebra import (
     product,
     restrict_to_B,
     rewrite_word,
+    row_in_A,
     word_bidegree,
     _BYTE,
+    _MONO_CACHE,
     _monomial,
     _normal_prefix,
     _normal_suffix,
@@ -536,8 +537,7 @@ def test_dim_A_closed_form_counts_the_basis():
 
 
 def test_basis_caches_are_bounded():
-    for cache in (basis_A, basis_A_index):
-        assert cache.cache_info().maxsize is not None
+    assert basis_A.cache_info().maxsize is not None
 
 
 def test_generator_coefficients_read_a_degree_one_element():
@@ -564,6 +564,58 @@ def test_normal_monomial_validation():
     mono = NormalMonomial.from_letters((DELBAR, DEL, MUBAR, MU))
     assert mono.head == (DELBAR, DEL)
     assert mono.tail == (MUBAR, MU)
+
+
+# -- positions read off the code ----------------------------------------------------
+
+
+def _code(head, tail):
+    """The code of head.tail as NormalMonomial defines it, spelled out."""
+    digits = "".join("0" if sym == DELBAR else "1" for sym in head)
+    return int("1" + digits, 2) << 2 | TAILS.index(tail)
+
+
+def test_codes_from_letters_and_from_the_code_agree():
+    _MONO_CACHE.clear()
+    for k in range(9):
+        for mono in basis_A(k):
+            decoded = _monomial(mono.packed)
+            assert decoded is not mono
+            assert mono.packed == decoded.packed == _code(mono.head, mono.tail)
+            assert (decoded.head, decoded.tail) == (mono.head, mono.tail)
+            assert decoded == mono and hash(decoded) == hash(mono)
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_row_in_A_of_a_basis_monomial_is_its_position(k):
+    for n, mono in enumerate(basis_A(k)):
+        assert row_in_A(AlgebraElement({mono: ONE}), k) == {n: ONE}
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_the_codes_order_basis_A(k):
+    basis = basis_A(k)
+    shuffled = list(basis)
+    random.Random(k).shuffle(shuffled)
+    assert tuple(sorted(shuffled, key=NormalMonomial.sort_key)) == basis
+    assert tuple(sorted(shuffled)) == basis
+
+
+def test_row_in_A_rejects_the_first_term_of_another_degree():
+    for k in range(6):
+        for j in range(6):
+            if j == k:
+                continue
+            for mono in basis_A(j):
+                with pytest.raises(KeyError) as info:
+                    row_in_A(AlgebraElement({mono: ONE}), k)
+                assert info.value.args[0] is mono
+    good, first, second = basis_A(3)[5], basis_A(2)[7], basis_A(4)[0]
+    with pytest.raises(KeyError) as info:
+        row_in_A(AlgebraElement({good: ONE, first: ONE, second: ONE}), 3)
+    assert info.value.args[0] is first
+    with pytest.raises(InvalidDegree):
+        row_in_A(AlgebraElement.one(), -1)
 
 
 # -- the word subalgebra ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -12,10 +13,10 @@ from acalg.algebra import (
     MU,
     MUBAR,
     AlgebraElement,
+    NormalMonomial,
     generator_element,
     graded_commutator,
     product,
-    words_of_length,
 )
 from acalg.cohomology import (
     Carrier,
@@ -651,7 +652,17 @@ def test_B_dim_is_closed_form():
     carrier = get_carrier("B")
     assert carrier.dim(-1) == 0
     for k in range(13):
-        assert carrier.dim(k) == sum(1 for _ in words_of_length(k)) == 2**k
+        assert carrier.dim(k) == len(carrier.basis(k)) == 2**k
+
+
+def test_B_coordinates_of_word_n_are_the_unit_row_n():
+    carrier = get_carrier("B")
+    for k in range(11):
+        basis = carrier.basis(k)
+        words = itertools.product((DELBAR, DEL), repeat=k)
+        assert list(basis) == [AlgebraElement({NormalMonomial(w): ONE}) for w in words]
+        assert carrier.coordinates(basis, k) == [{n: ONE} for n in range(1 << k)]
+        assert all(carrier.element({n: ONE}, k) == b for n, b in enumerate(basis))
 
 
 def test_cohomology_caches_are_bounded():

@@ -223,6 +223,7 @@ def test_certification_matches_the_reference(k):
 def test_dimensions_build_no_rows_or_spans():
     _graded_basis.cache_clear()
     _g_basis.cache_clear()
+    basis_A.cache_clear()
     for k in range(2, 9):
         dim_g(k)
     # above degree 1, dim g_k is read off h's record
@@ -233,6 +234,12 @@ def test_dimensions_build_no_rows_or_spans():
         built = vars(_graded_basis(k))
         assert "rows" not in built and "span" not in built, k
     assert "rows" not in vars(_g_basis(1)) and "span" not in vars(_g_basis(1))
+    # each candidate's row in A is read off its codes: no A_k is listed
+    for k in range(1, 12):
+        dim_g(k)
+    for k in range(1, 11):
+        dim_h(k)
+    assert basis_A.cache_info().currsize == 0
 
 
 def test_degree_one_certification_builds_no_span(monkeypatch):
