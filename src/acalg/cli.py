@@ -33,7 +33,7 @@ import sys
 from functools import lru_cache
 
 from .algebra import dim_A, graded_commutator
-from .cohomology import cohomology_data, get_carrier
+from .cohomology import cohomology, get_carrier
 from .errors import EngineError, ExprSyntaxError
 from .exprs import parse_element, render
 from .lie import d_lie, dim_g, lie_generator
@@ -242,11 +242,11 @@ def _cmd_cohomology(args):
     rows = []
     payload_rows = []
     for k in range(carrier.first_degree, args.max + 1):
-        data = cohomology_data(diff, k, carrier)
-        row = [k, data.dim]
-        entry = {"degree": k, "dim": data.dim}
+        dim, representatives = cohomology(diff, k, carrier)
+        row = [k, dim]
+        entry = {"degree": k, "dim": dim}
         if args.reps:
-            reps = [render(r) for r in data.representatives]
+            reps = [render(r) for r in representatives]
             row.append("; ".join(reps))
             entry["representatives"] = reps
         rows.append(row)

@@ -38,6 +38,20 @@ itself, so the built-in carriers and any other ``Carrier`` take one path.
 The g and h carriers read each degree's basis, and its rows in A, from
 ``lie``'s one tower of records: h's, and g's, read off h's as h rescaled.
 
+``cohomology`` and ``cohomology_dims`` answer a degree that a weight bound
+certifies as zero with (0, no representatives), without building ad_a, its
+kernel or its image for that degree.  The weight 2p + q of bidegree (p, q)
+filters g, h and B; ad_mubar keeps it and ad_delbar, ad_del, ad_mu raise
+it by 1, 2, 3.  So for a = x mubar + ... with x != 0 the associated graded
+differential is x ad_mubar, and since the filtration is finite in each
+degree, dim H^k(ad_a) <= dim H^k(ad_mubar) (McCleary, *A User's Guide to
+Spectral Sequences*, 2001, ch. 2).  The mirror weight p + 2q gives
+dim H^k(ad_a) <= dim H^k(ad_mu) when w != 0.  The bound needs a basis of
+bihomogeneous elements that all four generators preserve, so it is read
+only on the built-in carriers g, h and B; any other carrier, and every
+degree the bound leaves open, takes the direct path.  ``cohomology_data``
+is always the direct path: induced maps and the cone checks read its rows.
+
 ``les_check`` verifies the mapping-cone identity for ad_mubar on B, the skew
 commutation of ad_mubar with left multiplication by delbar, and the
 node-by-node exactness of the induced long sequence on cohomology.
@@ -349,15 +363,44 @@ def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> 
     )
 
 
+def _certified_zero(value: AlgebraElement, k: int, carrier: Carrier) -> bool:
+    """Whether the weight bound proves H^k(carrier, ad_value) = 0: on a
+    built-in carrier, x != 0 and H^k(ad_mubar) = 0, or w != 0 and
+    H^k(ad_mu) = 0, for value = x mubar + y delbar + z del + w mu.  The
+    bound's data is the direct path's, cached and shared by every
+    differential."""
+    if not any(carrier is builtin for builtin in CARRIERS.values()):
+        return False
+    x, _, _, w = generator_coefficients(value)
+    return any(
+        c and _cohomology_data_cached(generator_element(sym), k, carrier).dim == 0
+        for sym, c in ((MUBAR, x), (MU, w))
+    )
+
+
 def cohomology(a, k: int, carrier="g") -> tuple[int, tuple[AlgebraElement, ...]]:
-    """Dimension and representative basis of H^k(carrier, ad_a)."""
-    data = cohomology_data(a, k, carrier)
+    """Dimension and representative basis of H^k(carrier, ad_a).
+
+    On g, h and B, a degree where dim H^k(ad_mubar) = 0 and a has a nonzero
+    mubar coefficient, or dim H^k(ad_mu) = 0 and a nonzero mu coefficient,
+    is answered (0, ()) by the weight spectral sequence's bound (McCleary,
+    2001, ch. 2; see the module docstring) without eliminating ad_a.
+    """
+    carrier = get_carrier(carrier)
+    value = _as_degree_one(a)
+    _check_differential(value)
+    if _certified_zero(value, k, carrier):
+        return 0, ()
+    data = _cohomology_data_cached(value, k, carrier)
     return data.dim, data.representatives
 
 
 def cohomology_dims(a, k_max: int, carrier="g") -> dict[int, int]:
+    """dim H^k(carrier, ad_a) for each degree up to ``k_max``, with the
+    zeros the weight bound certifies on g, h and B (McCleary, 2001, ch. 2)
+    read as ``cohomology`` reads them."""
     carrier = get_carrier(carrier)
-    return {k: cohomology_data(a, k, carrier).dim for k in range(carrier.first_degree, k_max + 1)}
+    return {k: cohomology(a, k, carrier)[0] for k in range(carrier.first_degree, k_max + 1)}
 
 
 def _image(columns: Sequence[Row], vec: Row) -> Row:

@@ -181,8 +181,10 @@ def combine(terms: Iterable[tuple[Scalar, Mapping]]) -> dict:
     nonzero entries only.  A row may be keyed by anything hashable: matrix
     rows by column, algebra elements by monomial.
 
-    A row whose coefficient is the shared ``ONE`` is added as it is, so a
-    plain sum multiplies nothing.  Zero entries are dropped once, at the end.
+    A row whose coefficient is the shared ``ONE`` is added as it is, and an
+    entry that is ``ONE`` contributes a scalar coefficient itself (an int or
+    ``Fraction`` one still becomes a scalar), so a plain sum multiplies
+    nothing.  Zero entries are dropped once, at the end.
     """
     out = {}
     for c, row in terms:
@@ -191,7 +193,7 @@ def combine(terms: Iterable[tuple[Scalar, Mapping]]) -> dict:
                 out[j] = out[j] + x if j in out else x
         else:
             for j, x in row.items():
-                y = c * x
+                y = c if x is ONE and type(c) is GaussianRational else c * x
                 out[j] = out[j] + y if j in out else y
     return {j: x for j, x in out.items() if x}
 

@@ -32,7 +32,7 @@ from .algebra import (
     product,
     row_in_A,
 )
-from .cohomology import ad_matrix, cohomology_dims, get_carrier
+from .cohomology import ad_matrix, cohomology_data, get_carrier
 from .errors import DegeneratePoint, InternalInconsistency
 from .lie import LieElement, d_lie
 from .linalg import SpanReducer, combine, solve_columns
@@ -243,7 +243,13 @@ def phi_conjugation_check(s, t, k_max: int, rep=None) -> PhiReport:
 
 
 def cohomology_dims_match(s, t, k_max: int) -> bool:
-    """dim H^k(g, ad_{d_{s,t}}) == dim H^k(g, ad_d) for k <= k_max."""
-    return cohomology_dims(d_st(s, t), k_max, "g") == cohomology_dims(
-        d_lie(), k_max, "g"
+    """dim H^k(g, ad_{d_{s,t}}) == dim H^k(g, ad_d) for k <= k_max.
+
+    Both sides read ``cohomology_data``, never the weight bound behind
+    ``cohomology_dims``, so this compares two eliminations rather than two
+    applications of one bound."""
+    a, d = d_st(s, t), d_lie()
+    return all(
+        cohomology_data(a, k, "g").dim == cohomology_data(d, k, "g").dim
+        for k in range(1, k_max + 1)
     )

@@ -260,12 +260,21 @@ def pbw_series(dims, k_max):
 
 
 @pytest.mark.parametrize(
-    "a, k_max", [(gen(MUBAR), 10), (gen(MU), 10), (d_lie(), 8)], ids=["mubar", "mu", "d"]
+    "a, k_max",
+    [
+        (gen(MUBAR), 10),
+        (gen(MU), 10),
+        (d_lie(), 8),
+        (d_st(2, 1), 8),
+        (d_st(Fraction(1, 2), 3 + I), 7),
+    ],
+    ids=["mubar", "mu", "d", "st-2-1", "st-1/2-3+i"],
 )
 def test_B_tables_are_the_symmetric_algebra_of_h_tables(a, k_max):
     # B = U(h), and by PBW H(U(h), ad a) is the free graded-commutative
     # algebra on H(h, ad a): an independent certificate of B's tables,
-    # which share no map with h's
+    # which share no map with h's; h's zeros above degree 2 come from the
+    # weight bound and B's from elimination, so this also checks the bound
     h_dims = cohomology_dims(a, k_max, "h")
     B_dims = cohomology_dims(a, k_max, "B")
     assert list(B_dims.values()) == pbw_series(h_dims, k_max)
@@ -299,6 +308,64 @@ def test_not_a_differential():
     for _ in range(2):  # the verdict is cached, and raises on every call
         with pytest.raises(NotADifferential):
             cohomology(bad, 1, "g")
+
+
+# -- zero degrees from the weight bound -----------------------------------------------
+
+BOUND_DIFFERENTIALS = [
+    d_lie(),
+    lie_generator(MUBAR),
+    lie_generator(MU),
+    d_st(2, 1),
+    d_st(Fraction(1, 2), 3 + I),
+    3 * d_st(1, 2).value,
+    d_st(0, 1),  # mu: the bound is read through mu alone
+    g1_element(0, 0, 0, 0),  # no mubar or mu coefficient: never certified
+]
+
+
+@pytest.mark.parametrize("carrier, k_max", [("g", 9), ("h", 9), ("B", 7)])
+def test_certified_zeros_match_the_direct_path(carrier, k_max):
+    carrier = get_carrier(carrier)
+    for a in BOUND_DIFFERENTIALS:
+        direct = [cohomology_data(a, k, carrier) for k in range(carrier.first_degree, k_max + 1)]
+        assert cohomology_dims(a, k_max, carrier) == {d.degree: d.dim for d in direct}, str(a)
+        for d in direct:
+            assert cohomology(a, d.degree, carrier) == (d.dim, d.representatives), (str(a), d.degree)
+
+
+def has_entry(value, k, carrier):
+    """Whether ``_cohomology_data_cached`` holds (value, k, carrier): a
+    probe that hits it, and builds the entry when it misses."""
+    hits = _cohomology_data_cached.cache_info().hits
+    _cohomology_data_cached(value, k, carrier)
+    return _cohomology_data_cached.cache_info().hits == hits + 1
+
+
+def test_certified_degrees_build_no_data_for_the_differential():
+    a = d_st(2, 1)
+    g = get_carrier("g")
+    for k in range(2, 6):
+        _cohomology_data_cached.cache_clear()
+        assert cohomology(a, k, g) == (0, ())
+        assert not has_entry(a.value, k, g), k
+
+
+def test_other_carriers_take_the_direct_path():
+    carrier = _UncachedLieCarrier()
+    d = d_lie()
+    for k in range(2, 5):
+        assert cohomology(d, k, carrier) == (0, ())
+        assert has_entry(d.value, k, carrier), k
+
+
+def test_a_non_differential_is_refused_where_the_bound_would_certify():
+    bad = g1_element(1, 1, 0, 0)
+    assert cohomology_data(lie_generator(MUBAR), 3, "g").dim == 0
+    with pytest.raises(NotADifferential):
+        cohomology(bad, 3, "g")
+    with pytest.raises(NotADifferential):
+        cohomology_dims(bad, 3, "g")
 
 
 def test_degree_zero_conventions():

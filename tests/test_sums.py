@@ -266,6 +266,18 @@ def test_conjugates_and_carrier_elements_match_repeated_addition():
         assert_trusted(new)
 
 
+def test_a_unit_entry_hands_out_its_scalar_coefficient():
+    # B's words hold the shared ONE, so an element made from coordinates
+    # keeps each coordinate's scalar instead of a fresh copy of it; an int
+    # coordinate still becomes a scalar
+    carrier = get_carrier("B")
+    c = GaussianRational(Fraction(2, 3), 1)
+    (kept,) = carrier.element({5: c}, 3)._terms.values()
+    assert kept is c
+    (made,) = carrier.element({5: 2}, 3)._terms.values()
+    assert type(made) is GaussianRational and made == GaussianRational(2)
+
+
 def test_trusted_constructions_hold_nonzero_scalars_only():
     for elt in [AlgebraElement.one(), d_element(), *map(generator_element, GENERATORS)]:
         assert_trusted(elt)
