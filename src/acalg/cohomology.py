@@ -31,12 +31,12 @@ map out of degree k also serves as the map into degree k + 1.  Each
 generator must map the carrier into itself, as all four do on g, h and B.
 On B the generator maps are integer arithmetic on the word index (see
 ``_word_columns``); on g, h and any other carrier they are commutators
-solved for their coordinates.
+read off the carrier's ``coordinates``.
 
 The generator maps and the cohomology data are cached by the carrier object
 itself, so the built-in carriers and any other ``Carrier`` take one path.
-The g and h carriers read each degree's basis, and its rows in A, from
-``lie``'s one tower of records: h's, and g's, read off h's as h rescaled.
+The g and h carriers read each degree's basis and coordinates from ``lie``'s
+one tower of records: h's, and g's, read off h's as h rescaled.
 
 ``cohomology`` and ``cohomology_dims`` answer a degree that a weight bound
 certifies as zero with (0, no representatives), without building ad_a, its
@@ -104,24 +104,21 @@ class Carrier:
     def dim(self, k: int) -> int:
         return len(self.basis(k))
 
-    def rows(self, k: int) -> Sequence[Row]:
-        """basis(k) as rows in basis_A(k); ``coordinates`` only reads them."""
-        return [row_in_A(b, k) for b in self.basis(k)]
-
     def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
-        """Coordinates of degree-k elements in basis(k); raises if outside."""
-        try:
-            rhs = [row_in_A(e, k) for e in elements]
-        except KeyError as exc:
-            mono = exc.args[0]
-            raise NotWellDefined(f"degree {mono.degree} term in {self.name}_{k}: {mono}") from None
-        solved = solve_columns(self.rows(k), rhs)
-        for n, coords in enumerate(solved):
-            if coords is None:
+        """Coordinates of degree-k elements in basis(k); raises if outside.  Each
+        is ``_coordinates(e, k)``: None outside, KeyError on a term of another degree."""
+        out: list[Row] = []
+        for e in elements:
+            try:
+                coords = self._coordinates(e, k)
+            except KeyError:
+                mono = min((m for m in e._terms if m.degree != k), key=NormalMonomial.sort_key)
                 raise NotWellDefined(
-                    f"element is outside carrier {self.name} at degree {k}: {elements[n]}"
-                )
-        return solved
+                    f"degree {mono.degree} term in {self.name}_{k}: {mono}") from None
+            if coords is None:
+                raise NotWellDefined(f"element is outside carrier {self.name} at degree {k}: {e}")
+            out.append(coords)
+        return out
 
     def element(self, coords: Row, k: int) -> AlgebraElement:
         basis = self.basis(k)
@@ -136,15 +133,16 @@ class _LieCarrier(Carrier):
         self.name = name
 
     def _record(self, k: int) -> _GradedBasis:
-        # looked up by module-level name at each call, which is where the
-        # bench tracer wraps functions
+        # the records themselves, not lie_basis or h_basis, which are what the
+        # bench tracer's lie.basis span wraps: a carrier's reads are not counted
         return _g_basis(k) if self.name == "g" else _graded_basis(k)
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         return self._record(k).values if k >= 1 else ()
 
-    def rows(self, k: int) -> Sequence[Row]:
-        return self._record(k).rows if k >= 1 else ()
+    def _coordinates(self, e: AlgebraElement, k: int) -> Row | None:
+        row = row_in_A(e, k)
+        return self._record(k).coordinates(row) if k >= 1 else (None if row else {})
 
 
 # B_k has 2^k words: far fewer than 32 degrees can ever be built
@@ -180,17 +178,9 @@ class _WordCarrier(Carrier):
     def dim(self, k: int) -> int:
         return 2**k if k >= 0 else 0
 
-    def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
+    def _coordinates(self, e: AlgebraElement, k: int) -> Row:
         # word n of B_k is element n of A_k too, so its row in A is its row here
-        out: list[Row] = []
-        for e in elements:
-            try:
-                out.append(row_in_A(restrict_to_B(e), k))
-            except KeyError:
-                outside = (m for m in e._terms if m.degree != k)
-                mono = min(outside, key=NormalMonomial.sort_key)
-                raise NotWellDefined(f"degree {mono.degree} term in B_{k}: {mono}") from None
-        return out
+        return row_in_A(restrict_to_B(e), k)
 
 
 CARRIERS = {
@@ -247,13 +237,13 @@ def _generator_columns(sym: str, k: int, carrier: Carrier) -> list[Row]:
     generator g named ``sym``.
 
     On B they are read off the word index (``_word_columns``); on any other
-    carrier each commutator is formed and solved for its coordinates.
+    carrier each commutator is formed and read off the carrier's
+    ``coordinates``.
     """
     if isinstance(carrier, _WordCarrier):
         return _word_columns(sym, k) if k >= 0 else []
     g = generator_element(sym)
-    images = [graded_commutator(g, x) for x in carrier.basis(k)]
-    return carrier.coordinates(images, k + 1) if images else []
+    return carrier.coordinates([graded_commutator(g, x) for x in carrier.basis(k)], k + 1)
 
 
 def _word_columns(sym: str, k: int) -> list[Row]:

@@ -8,11 +8,11 @@ previous basis, with a greedy exact-rank selection making it deterministic;
 g's basis above degree 1 is h's with some elements times -1/2 (``_g_basis``).
 
 Each degree of h is built once, into one cached record: its bracket words
-and elements, and, on first use, their values, their rows in ``basis_A(k)``
-and the echelon form of those rows; g's record keeps h's words.
-``lie_basis``, ``h_basis``, the g and h carriers of the cohomology layer
-and the Maurer-Cartan check read these records, and a ``LieElement`` above
-degree 1 is certified by reducing its row once against h's echelon form.
+and elements, and, on first use, their values and one echelon form of their
+rows in ``basis_A(k)``, tagged by index, that gives a row of A_k its
+membership and its coordinates at once; g's record keeps h's words.
+``lie_basis``, ``h_basis``, the g and h carriers and the Maurer-Cartan check
+read these records, and a ``LieElement`` above degree 1 is certified by g's.
 
 Two derivations of the free Lie algebra on delbar, del are provided:
 
@@ -41,7 +41,7 @@ from .algebra import (
 )
 from .errors import InvalidDegree, OutOfDomain
 from .linalg import Row, SpanReducer
-from .scalars import HALF, Scalar, ZERO
+from .scalars import HALF, ONE, Scalar, ZERO
 
 #: nested-tuple bracket expressions over the leaves below
 BracketWord = Union[str, tuple]
@@ -108,17 +108,20 @@ def d_lie() -> LieElement:
 
 
 def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
-    # g_1 is all of A_1, and g_k = h_k for k >= 2
+    # g_1 is all of A_1; above it, g's chart is the one g's coordinates read
     return (degree == 1 or value.is_zero()
-            or _graded_basis(degree).span.contains(row_in_A(value, degree)))
+            or _g_basis(degree).coordinates(row_in_A(value, degree)) is not None)
+
+
+_TAG = 1 << 64  # past every column of A: A_k's are below 2^(k+2), k < 62 in reach
 
 
 @dataclass(frozen=True)
 class _GradedBasis:
     """One degree of a graded basis: the (bracket word, element) pairs in
-    selection order, with their values, their rows in ``basis_A(k)`` and
-    the echelon form of those rows built on first use, so that a caller
-    asking only for the pairs builds nothing more."""
+    selection order, with their values and the tagged echelon form of their
+    rows in ``basis_A(k)`` built on first use, so that a caller asking only
+    for the pairs builds nothing more."""
 
     k: int
     pairs: tuple[tuple[BracketWord, LieElement], ...]
@@ -128,13 +131,19 @@ class _GradedBasis:
         return tuple(b.value for _, b in self.pairs)
 
     @cached_property
-    def rows(self) -> tuple[Row, ...]:
-        """The values as rows in basis_A(k); readers must not mutate them."""
-        return tuple(row_in_A(v, self.k) for v in self.values)
+    def chart(self) -> SpanReducer:
+        """The echelon form of the values' rows in A, row n tagged by ONE at _TAG + n."""
+        rows = (row_in_A(v, self.k) for v in self.values)
+        return SpanReducer({**row, _TAG + n: ONE} for n, row in enumerate(rows))
 
-    @cached_property
-    def span(self) -> SpanReducer:
-        return SpanReducer(self.rows)
+    def coordinates(self, row: Row) -> Row | None:
+        """A row of A_k's coordinates in the values, or None outside their span:
+        reducing it subtracts some x of the tagged rows, leaving row minus
+        x's combination, zero exactly on the span, and -x_n at _TAG + n."""
+        residue = self.chart.reduce(row)
+        if any(j < _TAG for j in residue):
+            return None
+        return {j - _TAG: -x for j, x in residue.items()}
 
 
 # 32 degrees; dim A_k = 9 * 2^(k-2) keeps far fewer within reach

@@ -32,9 +32,9 @@ from .algebra import (
     product,
     row_in_A,
 )
-from .cohomology import ad_matrix, cohomology_data, get_carrier
+from .cohomology import ad_matrix, cohomology_data
 from .errors import DegeneratePoint, InternalInconsistency
-from .lie import LieElement, d_lie
+from .lie import LieElement, _graded_basis, d_lie
 from .linalg import SpanReducer, combine, solve_columns
 from .scalars import I, ONE, ZERO, Scalar, as_scalar
 
@@ -62,7 +62,8 @@ def square_coefficients(x, y, z, w) -> tuple[Scalar, Scalar, Scalar]:
     h's degree-2 basis, in that order."""
     a = g1_element(x, y, z, w).value
     square = graded_commutator(a, a)
-    coords = solve_columns(get_carrier("h").rows(2), [row_in_A(square, 2)])[0]
+    rows = [row_in_A(v, 2) for v in _graded_basis(2).values]
+    coords = solve_columns(rows, [row_in_A(square, 2)])[0]
     if coords is None:
         raise InternalInconsistency(f"[a, a] escaped the expected span: {square}")
     return tuple(coords.get(j, ZERO) for j in range(3))

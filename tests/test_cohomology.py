@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from acalg import linalg
 from acalg.algebra import (
     DEL,
     DELBAR,
@@ -42,7 +43,7 @@ from acalg.lie import d_lie, lie_generator
 from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
 from acalg.mc import d_st, g1_coordinates, g1_element
 from acalg.scalars import I, ONE
-from lie_reference import reference_graded_basis
+from lie_reference import pbw_series, reference_coordinates, reference_graded_basis
 from vectors import apply, same_span, transpose
 
 def gen(sym):
@@ -120,10 +121,11 @@ def test_produced_matrix_ranks_are_transpose_invariant():
 
 def reference_ad_columns(value, k, carrier):
     """_ad_columns as it was before ad maps were assembled from per-generator
-    columns: one commutator per basis element, then one coordinate solve.
-    Kept as the reference the assembled maps must reproduce."""
+    columns and read off the word index or the records' echelon forms: one
+    commutator per basis element, then one coordinate solve.  Kept as the
+    reference the assembled maps must reproduce."""
     images = [graded_commutator(value, x) for x in carrier.basis(k)]
-    return carrier.coordinates(images, k + 1) if images else []
+    return reference_coordinates(carrier.basis(k + 1), images, k + 1)
 
 
 class _UncachedLieCarrier(_LieCarrier):
@@ -140,10 +142,8 @@ class _UncachedLieCarrier(_LieCarrier):
 class _MixedLieCarrier(_UncachedLieCarrier):
     """g with the first two basis elements of each degree replaced by their
     sum and difference.  The basis is no longer bihomogeneous, so the
-    generators' contributions to one ad_a entry can cancel.  Its rows come
-    from the generic ``Carrier.rows``, computed from this basis."""
-
-    rows = Carrier.rows
+    generators' contributions to one ad_a entry can cancel.  The record's
+    echelon form charts the unmixed basis, so its coordinates are solved."""
 
     def basis(self, k):
         basis = super().basis(k)
@@ -151,6 +151,11 @@ class _MixedLieCarrier(_UncachedLieCarrier):
             return basis
         first, second = basis[:2]
         return (first + second, first - second) + basis[2:]
+
+    def coordinates(self, elements, k):
+        solved = reference_coordinates(self.basis(k), elements, k)
+        assert None not in solved
+        return solved
 
 
 AD_ELEMENTS = [
@@ -241,22 +246,6 @@ def test_B_table_is_one_in_every_degree():
     mubar = lie_generator(MUBAR)
     dims = {k: cohomology(mubar, k, "B")[0] for k in range(0, 9)}
     assert dims == {k: 1 for k in range(0, 9)}
-
-
-def pbw_series(dims, k_max):
-    """The coefficients of t^0 .. t^k_max in the Poincare series of the free
-    graded-commutative algebra on dims[j] generators of degree j:
-    prod_{j odd} (1 + t^j)^dims[j] * prod_{j even} (1 - t^j)^-dims[j]."""
-    series = [1] + [0] * k_max
-    for j, count in dims.items():
-        for _ in range(count):
-            if j % 2:
-                for m in range(k_max, j - 1, -1):
-                    series[m] += series[m - j]
-            else:
-                for m in range(j, k_max + 1):
-                    series[m] += series[m - j]
-    return series
 
 
 @pytest.mark.parametrize(
@@ -891,6 +880,34 @@ def test_a_term_of_another_degree_is_not_well_defined_on_every_carrier(carrier):
         induced_map(source, target, columns_of(lambda x: x, source, target))
     with pytest.raises(NotWellDefined, match=f"degree 1 term in {carrier}_2: "):
         get_carrier(carrier).coordinates([gen(DEL)], 2)
+
+
+@pytest.mark.parametrize("carrier", ["g", "h", "B"])
+def test_a_term_of_another_degree_is_named_the_same_in_either_term_order(carrier):
+    # del + del.delbar.del and del.delbar.del + del are one element with two
+    # term orders; either way the error names its least term of another degree
+    a, b = gen(DEL), from_word(DEL, DELBAR, DEL)
+    assert a + b == b + a and list((a + b)._terms) != list((b + a)._terms)
+    for elements in ([a + b], [b + a]):
+        with pytest.raises(NotWellDefined, match=rf"^degree 1 term in {carrier}_2: del$"):
+            get_carrier(carrier).coordinates(elements, 2)
+    with pytest.raises(NotWellDefined, match=rf"^degree 3 term in {carrier}_1: del.delbar.del$"):
+        get_carrier(carrier).coordinates([b + a], 1)
+
+
+def test_g_and_h_generator_maps_call_no_solve(monkeypatch):
+    # their coordinates are read off each record's echelon form
+    def refuse(*args):
+        raise AssertionError("solve_columns called")
+
+    for module in (linalg, importlib.import_module("acalg.cohomology")):
+        monkeypatch.setattr(module, "solve_columns", refuse)
+    _generator_columns.cache_clear()
+    for name in ("g", "h"):
+        carrier = get_carrier(name)
+        for k in range(1, 7):
+            for sym in GENERATORS:
+                assert len(_generator_columns(sym, k, carrier)) == carrier.dim(k), (name, sym, k)
 
 
 def test_induced_map_rejects_a_target_missing_images():

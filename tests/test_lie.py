@@ -17,7 +17,7 @@ from acalg.algebra import (
     restrict_to_B,
     row_in_A,
 )
-from acalg.cohomology import get_carrier
+from acalg.cohomology import _generator_columns, get_carrier
 from acalg.errors import InvalidDegree, NotInSubalgebra, OutOfDomain
 from acalg.lie import (
     D_MU,
@@ -36,9 +36,9 @@ from acalg.lie import (
     lie_generator,
     project_hol,
 )
-from acalg.linalg import SpanReducer
+from acalg.linalg import SpanReducer, combine
 from acalg.scalars import ONE, ZERO, Scalar
-from lie_reference import reference_graded_basis
+from lie_reference import reference_coordinates, reference_graded_basis
 from vectors import same_span
 
 lie = importlib.import_module("acalg.lie")
@@ -232,8 +232,8 @@ def test_dimensions_build_no_rows_or_spans():
         dim_g(k)
         dim_h(k)
         built = vars(_graded_basis(k))
-        assert "rows" not in built and "span" not in built, k
-    assert "rows" not in vars(_g_basis(1)) and "span" not in vars(_g_basis(1))
+        assert "values" not in built and "chart" not in built, k
+    assert "values" not in vars(_g_basis(1)) and "chart" not in vars(_g_basis(1))
     # each candidate's row in A is read off its codes: no A_k is listed
     for k in range(1, 12):
         dim_g(k)
@@ -261,19 +261,24 @@ def test_one_tower_matches_the_two_seed_reference(k):
     g_ref, h_ref = reference_graded_basis(GENERATORS, k), reference_graded_basis((DELBAR, DEL), k)
     assert lie_basis(k) == tuple(b for _, b in g_ref.pairs)
     assert h_basis(k) == h_ref.pairs
-    assert get_carrier("g").rows(k) == g_ref.rows
+    # the g carrier charts the reference's elements as its unit rows
+    units = [{n: ONE} for n in range(len(g_ref.pairs))]
+    assert get_carrier("g").coordinates(g_ref.values, k) == units
     assert dim_g(k) == len(g_ref.pairs)
-    # certification accepts and rejects exactly as the reference's span does
+    # certification accepts and rejects exactly as the reference's solve does
     rng = random.Random(f"tower-{k}")
     basis, monomials = lie_basis(k), basis_A(k)
-    verdicts = set()
+    values = []
     for _ in range(40):
         value = AlgebraElement.zero()
         for b in rng.sample(basis, min(3, len(basis))):
             value = value + b.value.scale(rng.randint(-2, 2))
         for mono in rng.sample(monomials, rng.choice((0, 1))):
             value = value + AlgebraElement({mono: Scalar(rng.choice((-1, 1)))})
-        expected = value.is_zero() or g_ref.span.contains(row_in_A(value, k))
+        values.append(value)
+    verdicts = set()
+    for value, solved in zip(values, reference_coordinates(g_ref.values, values, k)):
+        expected = solved is not None
         verdicts.add(expected)
         try:
             accepted = LieElement(value, k).value == value
@@ -282,6 +287,82 @@ def test_one_tower_matches_the_two_seed_reference(k):
         assert accepted == expected, (k, str(value))
     # degree 1 of g is all of A_1
     assert verdicts == ({True} if k == 1 else {True, False})
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_certification_and_coordinates_build_one_echelon_form(monkeypatch, k):
+    _graded_basis.cache_clear()
+    _g_basis.cache_clear()
+    basis = lie_basis(k)  # built first: the builder's own reducer is not counted
+    built = []
+
+    class CountingReducer(SpanReducer):
+        def __init__(self, vectors=()):
+            built.append(k)
+            super().__init__(vectors)
+
+    monkeypatch.setattr(lie, "SpanReducer", CountingReducer)
+    value = basis[0].value + basis[-1].value
+    assert LieElement(value, k).value == value
+    assert get_carrier("g").coordinates([value], k) == [{0: ONE, len(basis) - 1: ONE}]
+    assert built == [k]
+
+
+def dynkin(row, k):
+    """The right-normed Dynkin map theta(x_1 ... x_k) = [x_1, theta(x_2 ... x_k)]
+    on a row of B_k: split at 2^(k-1) into delbar*y_0 + del*y_1 and bracket
+    with B's cached word columns, so no product is formed."""
+    if k == 1:
+        return row
+    half = 1 << k - 1
+    parts = (
+        (DELBAR, {n: c for n, c in row.items() if n < half}),
+        (DEL, {n - half: c for n, c in row.items() if n >= half}),
+    )
+    carrier = get_carrier("B")
+    return combine(
+        (c, _generator_columns(sym, k - 1, carrier)[n])
+        for sym, part in parts
+        for n, c in dynkin(part, k - 1).items()
+    )
+
+
+def test_h_is_certified_by_the_dynkin_map():
+    # B is free on the odd letters delbar, del, so h is the free Lie
+    # superalgebra on them and theta(y) = k*y exactly on h_k
+    # (Dynkin-Specht-Wever).  Elements satisfying it, independent, and as
+    # many as the super-PBW count are a basis of h_k, whatever the builder's
+    # candidates were; the proof shares no code with the records' spans.
+    dims = super_pbw_dims(10)
+    for k in range(1, 11):
+        rows = [row_in_A(b.value, k) for _, b in h_basis(k)]
+        # h lies in B, and its rows in A are B's word positions
+        assert all(j < 1 << k for row in rows for j in row), k
+        assert len(rows) == dims[k] and SpanReducer(rows).rank == len(rows), k
+        for n, row in enumerate(rows):
+            assert dynkin(row, k) == combine([(Scalar(k), row)]), (k, n)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_the_dynkin_map_fixes_exactly_what_certification_accepts(k):
+    rng = random.Random(f"dynkin-{k}")
+    basis, words = h_basis(k), get_carrier("B").basis(k)
+    verdicts = set()
+    for _ in range(20):
+        value = AlgebraElement.zero()
+        for _, b in rng.sample(basis, min(2, len(basis))):
+            value = value + b.value.scale(rng.randint(-2, 2))
+        for word in rng.sample(words, rng.choice((0, 1))):
+            value = value + word.scale(rng.choice((-1, 1)))
+        row = row_in_A(value, k)
+        fixed = dynkin(row, k) == combine([(Scalar(k), row)])
+        verdicts.add(fixed)
+        try:
+            accepted = LieElement(value, k).value == value
+        except OutOfDomain:
+            accepted = False
+        assert accepted == fixed, (k, str(value))
+    assert verdicts == {True, False}
 
 
 def test_ideal_property():
