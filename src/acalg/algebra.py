@@ -26,6 +26,10 @@ An element keeps its terms as a row keyed by monomial, so every sum of
 elements, and the product, which sums the normal forms of the concatenated
 words, goes through the one sparse sum ``linalg.combine``.  Only the
 integer fold inside ``rewrite_word`` keeps its own loop.
+
+The word subalgebra B is indexed here too, on the same codes: ``words``
+and ``word_columns`` give B's basis and all four generators' ad maps on it,
+which the carriers of ``cohomology`` read; no other module reads a code.
 """
 
 from __future__ import annotations
@@ -191,9 +195,7 @@ UNIT_MONOMIAL = NormalMonomial()
 # digit per letter: delbar "0", del "1", mubar "2", mu "3".  A normal monomial
 # is its code (see NormalMonomial): the int  head << 2 | tail index, where
 # head reads the head word as a binary number behind a leading 1 that marks
-# its length, int(b"1" + head digits, 2).  So word n of B_k, the n-th in
-# ``itertools.product((delbar, del), repeat=k)``, is the packed head
-# 1 << k | n, and its position in basis_A(k) is n.
+# its length, int(b"1" + head digits, 2).
 
 _CODE = {sym: n for n, sym in enumerate(HEAD_LETTERS + (MUBAR, MU))}
 _BYTE = {sym: ord(str(n)) for sym, n in _CODE.items()}
@@ -316,17 +318,41 @@ def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
     return out
 
 
-def passing_rows(sym: str, k: int) -> list[dict[int, Scalar]]:
-    """For each word n of B_k, the packed head 1 << k | n, the ending
-    branches mubar or mu leaves as it passes that word, as a row over the
-    words of B_{k+1}: sym.w = (-1)^k w.sym plus the row.  Read off
-    ``_passes`` directly, so B's 2^k heads never fill ``_PASSES``."""
-    y, size = _BYTE[sym], 1 << k
-    top = size << 1
-    return [
-        {(packed >> 2) - top: _INT_SCALARS[c] for c, packed in _passes(y, size | n)}
-        for n in range(size)
-    ]
+# B_k has 2^k words: far fewer than 32 degrees can ever be built
+@lru_cache(maxsize=32)
+def words(k: int) -> tuple[AlgebraElement, ...]:
+    """The basis of B_k, listed as ``itertools.product((delbar, del), repeat=k)``.
+
+    So word n is n in k binary digits, delbar 0 and del 1, first letter most
+    significant; its code is the head 1 << k | n with tail index 0, and its
+    position in B_k and in A_k is n.  This is the one statement of B's
+    splitting: delbar*b_n is word n of B_{k+1} and del*b_n is word 2^k + n.
+    """
+    heads = range(1 << k, 2 << k)  # word n's head is 1 << k | n
+    return tuple(AlgebraElement._of_nonzero({_monomial(head << 2): ONE}) for head in heads)
+
+
+def word_columns(sym: str, k: int) -> list[dict[int, Scalar]]:
+    """The rows of [g, b_n] in B_{k+1} for each word n of B_k, g the generator
+    named ``sym``: integer arithmetic on the word index, with no product.
+
+    delbar and del: [g, b_n] = g*b_n - (-1)^k b_n*g, where g*b_n is word n
+    (delbar) or 2^k + n (del) of B_{k+1} and b_n*g is word 2n or 2n + 1;
+    the two coincide once, at n = 0 (delbar) or n = 2^k - 1 (del).
+    mubar and mu: g*b_n = (-1)^k b_n*g plus the ending branches g leaves as
+    it passes b_n's letters, read off ``_passes`` directly, so B's 2^k
+    heads never fill ``_PASSES``.
+    """
+    size = 1 << k
+    if sym in (MUBAR, MU):
+        y, top = _BYTE[sym], size << 1
+        return [
+            {(packed >> 2) - top: _INT_SCALARS[c] for c, packed in _passes(y, size | n)}
+            for n in range(size)
+        ]
+    left, right = (0, 0) if sym == DELBAR else (size, 1)
+    sign = ONE if k % 2 else -ONE  # -(-1)^k
+    return [combine(((ONE, {left + n: ONE}), (ONE, {2 * n + right: sign}))) for n in range(size)]
 
 
 #: shared scalars for the small integer coefficients of normal forms; 1 is

@@ -29,9 +29,10 @@ generator's map is built once per (generator, degree, carrier) and kept in
 a bounded cache; every differential's map is assembled from them, so the
 map out of degree k also serves as the map into degree k + 1.  Each
 generator must map the carrier into itself, as all four do on g, h and B.
-On B the generator maps are integer arithmetic on the word index (see
-``_word_columns``); on g, h and any other carrier they are commutators
-read off the carrier's ``coordinates``.
+B's maps are ``algebra.word_columns``, integer arithmetic on B's words.
+Any other carrier reads [g, b] off them wherever b lies in B, as all of h
+and of g above degree 1 does; only for b outside B, such as mubar and mu
+in g_1, is the commutator formed.
 
 The generator maps and the cohomology data are cached by the carrier object
 itself, so the built-in carriers and any other ``Carrier`` take one path.
@@ -58,7 +59,7 @@ node-by-node exactness of the induced long sequence on cohomology.
 ``frolicher_E1`` computes the two-step page H(H(-, ad_mubar), ad_delbar).
 Both read the cached generator maps; left multiplication by delbar and del
 on B, the splitting and the connecting map are read off B's word index,
-where word n of B_k is n in binary (see ``_words``).
+where word n of B_k is n in binary (see ``algebra.words``).
 """
 
 from __future__ import annotations
@@ -74,15 +75,16 @@ from .algebra import (
     MUBAR,
     AlgebraElement,
     NormalMonomial,
+    basis_A,
     generator_coefficients,
     generator_element,
     graded_commutator,
-    _monomial,
-    passing_rows,
     restrict_to_B,
     row_in_A,
+    word_columns,
+    words,
 )
-from .errors import InvalidDegree, NotADifferential, NotWellDefined
+from .errors import InvalidDegree, NotADifferential, NotInSubalgebra, NotWellDefined
 from .lie import LieElement, _g_basis, _graded_basis, _GradedBasis
 from .linalg import ExactMatrix, Row, SpanReducer, combine, solve_columns
 from .scalars import ONE, Scalar
@@ -104,17 +106,18 @@ class Carrier:
     def dim(self, k: int) -> int:
         return len(self.basis(k))
 
-    def coordinates(self, elements: Sequence[AlgebraElement], k: int) -> list[Row]:
-        """Coordinates of degree-k elements in basis(k); raises if outside.  Each
-        is ``_coordinates(e, k)``: None outside, KeyError on a term of another degree."""
+    def coordinates(self, elements: Sequence[AlgebraElement | Row], k: int) -> list[Row]:
+        """Coordinates of degree-k elements, or of rows of A_k, in basis(k);
+        raises if outside.  Each row is ``_coordinates(row, k)``: None outside."""
         out: list[Row] = []
         for e in elements:
             try:
-                coords = self._coordinates(e, k)
+                row = row_in_A(e, k) if isinstance(e, AlgebraElement) else e
             except KeyError:
                 mono = min((m for m in e._terms if m.degree != k), key=NormalMonomial.sort_key)
                 raise NotWellDefined(
                     f"degree {mono.degree} term in {self.name}_{k}: {mono}") from None
+            coords = self._coordinates(row, k)
             if coords is None:
                 raise NotWellDefined(f"element is outside carrier {self.name} at degree {k}: {e}")
             out.append(coords)
@@ -140,28 +143,8 @@ class _LieCarrier(Carrier):
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
         return self._record(k).values if k >= 1 else ()
 
-    def _coordinates(self, e: AlgebraElement, k: int) -> Row | None:
-        row = row_in_A(e, k)
+    def _coordinates(self, row: Row, k: int) -> Row | None:
         return self._record(k).coordinates(row) if k >= 1 else (None if row else {})
-
-
-# B_k has 2^k words: far fewer than 32 degrees can ever be built
-@lru_cache(maxsize=32)
-def _words(k: int) -> tuple[AlgebraElement, ...]:
-    """The basis of B_k, listed as ``itertools.product((delbar, del), repeat=k)``.
-
-    So word n is n written in k binary digits, delbar 0 and del 1, the first
-    letter the most significant digit: its code is the packed head
-    1 << k | n with tail index 0 (see ``NormalMonomial``), and its
-    coordinate in B_k is n.  This index is the one statement of B's
-    splitting B_{k+1} = del*B_k + delbar*B_k: delbar*b_n is word n of
-    B_{k+1} and del*b_n is word 2^k + n; a word of B_{k+1} starts with del
-    exactly when its index is >= 2^k, and its rest is word n mod 2^k.
-    """
-    size = 1 << k
-    return tuple(
-        AlgebraElement._of_nonzero({_monomial((size | n) << 2): ONE}) for n in range(size)
-    )
 
 
 class _WordCarrier(Carrier):
@@ -171,16 +154,16 @@ class _WordCarrier(Carrier):
     first_degree = 0
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
-        if k < 0:
-            return ()
-        return _words(k)
+        return words(k) if k >= 0 else ()
 
     def dim(self, k: int) -> int:
         return 2**k if k >= 0 else 0
 
-    def _coordinates(self, e: AlgebraElement, k: int) -> Row:
-        # word n of B_k is element n of A_k too, so its row in A is its row here
-        return row_in_A(restrict_to_B(e), k)
+    def _coordinates(self, row: Row, k: int) -> Row:
+        # word n of B_k is element n of A_k, so a row inside B_k is its own row here
+        if any(j >> k for j in row):
+            raise NotInSubalgebra(basis_A(k)[j] for j in sorted(row) if j >> k)
+        return row
 
 
 CARRIERS = {
@@ -236,32 +219,20 @@ def _generator_columns(sym: str, k: int, carrier: Carrier) -> list[Row]:
     """Coordinates of [g, b] in degree k + 1, for each b in basis(k), for the
     generator g named ``sym``.
 
-    On B they are read off the word index (``_word_columns``); on any other
-    carrier each commutator is formed and read off the carrier's
-    ``coordinates``.
+    On B they are B's word columns.  On any other carrier each is the row
+    of [g, b] in A_{k+1}, read through ``coordinates``: the word columns
+    applied to b's row where that lies in B_k (every index below 2^k), with
+    no product formed, and the commutator's row elsewhere.
     """
+    columns = word_columns(sym, k) if k >= 0 else []
     if isinstance(carrier, _WordCarrier):
-        return _word_columns(sym, k) if k >= 0 else []
-    g = generator_element(sym)
-    return carrier.coordinates([graded_commutator(g, x) for x in carrier.basis(k)], k + 1)
-
-
-def _word_columns(sym: str, k: int) -> list[Row]:
-    """The rows of [g, b_n] in B_{k+1}, for each word n of B_k, by integer
-    arithmetic on the word index (see ``_words``): no product is formed.
-
-    delbar and del: [g, b_n] = g*b_n - (-1)^k b_n*g, where g*b_n is word n
-    (delbar) or 2^k + n (del) of B_{k+1} and b_n*g is word 2n or 2n + 1;
-    the two coincide once, at n = 0 (delbar) or n = 2^k - 1 (del).
-    mubar and mu: g*b_n = (-1)^k b_n*g plus the ending branches g leaves as
-    it passes b_n's letters, so [g, b_n] is exactly those branches.
-    """
-    if sym in (MUBAR, MU):
-        return passing_rows(sym, k)
-    size = 1 << k
-    left, right = (0, 0) if sym == DELBAR else (size, 1)
-    sign = ONE if k % 2 else -ONE  # -(-1)^k
-    return [combine(((ONE, {left + n: ONE}), (ONE, {2 * n + right: sign}))) for n in range(size)]
+        return columns
+    g, images = generator_element(sym), []
+    for b in carrier.basis(k):
+        row = row_in_A(b, k)
+        in_B = all(j < len(columns) for j in row)
+        images.append(_image(columns, row) if in_B else graded_commutator(g, b))
+    return carrier.coordinates(images, k + 1)
 
 
 def ad_matrix(a, k: int, carrier="g") -> GradedMap:
@@ -513,7 +484,7 @@ def _cone_failures(
     None where a degree passes: the first failing word of each degree.
 
     ``ad_columns(k)`` are the word rows of ad_mubar out of B_k, and the word
-    maps come from the word index (see ``_words``): delbar*b_n and del*b_n
+    maps come from the word index (see ``algebra.words``): delbar*b_n and del*b_n
     are words n and 2^k + n of B_{k+1}, so ad_mubar sends them to its
     columns n and 2^k + n; delbar*r and del*r are a row r of B_{k+1} itself
     and r shifted by 2^(k+1), so B_{k+2} splits at 2^(k+1).

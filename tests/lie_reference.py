@@ -13,13 +13,26 @@ tests compare them, and the certification verdicts, with this solve.
 
 ``pbw_series`` is the Poincare series of a free graded-commutative
 algebra, the PBW oracle for B = U(h).
+
+``dynkin`` is the right-normed Dynkin map on B's word index.  B is free on
+the odd letters delbar, del, so h is the free Lie superalgebra on them and
+theta(y) = k*y exactly for y in h_k (Dynkin-Specht-Wever; Reutenauer, *Free
+Lie Algebras*, 1993, Thm 1.4): a certificate of h's tower that shares no
+code with the records' spans.
 """
 
 from functools import lru_cache
 
-from acalg.algebra import DEL, DELBAR, generator_element, graded_commutator, row_in_A
+from acalg.algebra import (
+    DEL,
+    DELBAR,
+    generator_element,
+    graded_commutator,
+    row_in_A,
+    word_columns,
+)
 from acalg.lie import LieElement, _GradedBasis, lie_generator
-from acalg.linalg import SpanReducer, solve_columns
+from acalg.linalg import SpanReducer, combine, solve_columns
 
 
 # 2 seeds x 32 degrees
@@ -61,3 +74,26 @@ def pbw_series(dims, k_max):
                 for m in range(j, k_max + 1):
                     series[m] += series[m - j]
     return series
+
+
+# 4 generators x 32 degrees; dynkin reads delbar's and del's
+_word_columns = lru_cache(maxsize=128)(word_columns)
+
+
+def dynkin(row, k):
+    """The right-normed Dynkin map theta(x_1 ... x_k) = [x_1, theta(x_2 ... x_k)]
+    on a row of B_k: split at 2^(k-1) into delbar*y_0 + del*y_1 and bracket
+    with B's word columns, so no product is formed."""
+    if k == 1:
+        return row
+    half = 1 << k - 1
+    parts = (
+        (DELBAR, {n: c for n, c in row.items() if n < half}),
+        (DEL, {n - half: c for n, c in row.items() if n >= half}),
+    )
+    return combine(
+        (c, _word_columns(sym, k - 1)[n])
+        for sym, part in parts
+        for n, c in dynkin(part, k - 1).items()
+    )
+

@@ -34,8 +34,8 @@ from acalg.cohomology import (
     cohomology_dims,
     les_check,
 )
-from acalg.lie import LieElement, d_lie, dim_g, lie_basis, lie_generator
-from acalg.linalg import SpanReducer
+from acalg.lie import LieElement, d_lie, dim_g, h_basis, lie_basis, lie_generator
+from acalg.linalg import SpanReducer, combine
 from acalg.mc import (
     dJ_st,
     d_st,
@@ -48,8 +48,8 @@ from acalg.mc import (
     strata_nullity,
 )
 from acalg.reps import act, build_example_rep, quotient_faithfulness, verify_relations
-from acalg.scalars import GaussianRational, HALF, ONE, ZERO
-from lie_reference import pbw_series
+from acalg.scalars import GaussianRational, HALF, ONE, ZERO, Scalar
+from lie_reference import dynkin, pbw_series
 from vectors import as_row, same_span
 
 
@@ -150,6 +150,26 @@ def test_criterion_2_lie_dimensions():
     elapsed = time.time() - start
     ok = ok and elapsed < 30.0
     report(2, ok, f"dim g_k for k=3..8 = {engine}, series oracle {expected} ({elapsed:.2f}s)")
+
+
+def test_h_is_certified_by_the_dynkin_map():
+    # B is free on the odd letters delbar, del, so h is the free Lie
+    # superalgebra on them and theta(y) = k*y exactly on h_k
+    # (Dynkin-Specht-Wever).  Elements satisfying it, independent, and as
+    # many as the super-PBW count are a basis of h_k, whatever the builder's
+    # candidates were; the proof shares no code with the records' spans.
+    start = time.time()
+    oracle = super_pbw_dims(10)
+    ok, counts = True, {}
+    for k in range(1, 11):
+        rows = [row_in_A(b.value, k) for _, b in h_basis(k)]
+        counts[k] = len(rows)
+        # h lies in B, and its rows in A are B's word positions
+        ok = ok and all(j < 1 << k for row in rows for j in row)
+        ok = ok and len(rows) == oracle[k] and SpanReducer(rows).rank == len(rows)
+        ok = ok and all(dynkin(row, k) == combine([(Scalar(k), row)]) for row in rows)
+    elapsed = time.time() - start
+    report("Dynkin", ok, f"theta(b) = k*b on independent bases of h_k, k=1..10, as many as the super-PBW count {list(counts.values())} ({elapsed:.2f}s)")
 
 
 def test_criterion_3_subalgebra_cohomology():

@@ -18,6 +18,8 @@ from acalg.algebra import (
     generator_element,
     graded_commutator,
     product,
+    row_in_A,
+    words,
 )
 from acalg.cohomology import (
     Carrier,
@@ -27,7 +29,6 @@ from acalg.cohomology import (
     _delta_columns,
     _generator_columns,
     _squares_to_zero,
-    _words,
     ad_matrix,
     cohomology,
     cohomology_data,
@@ -38,8 +39,8 @@ from acalg.cohomology import (
     les_check,
     split_B,
 )
-from acalg.errors import InvalidDegree, NotADifferential, NotWellDefined
-from acalg.lie import d_lie, lie_generator
+from acalg.errors import InvalidDegree, NotADifferential, NotInSubalgebra, NotWellDefined
+from acalg.lie import d_lie, dim_h, lie_generator
 from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
 from acalg.mc import d_st, g1_coordinates, g1_element
 from acalg.scalars import I, ONE
@@ -142,8 +143,11 @@ class _UncachedLieCarrier(_LieCarrier):
 class _MixedLieCarrier(_UncachedLieCarrier):
     """g with the first two basis elements of each degree replaced by their
     sum and difference.  The basis is no longer bihomogeneous, so the
-    generators' contributions to one ad_a entry can cancel.  The record's
-    echelon form charts the unmixed basis, so its coordinates are solved."""
+    generators' contributions to one ad_a entry can cancel.  Its degree-1
+    basis mixes mubar into delbar, so neither element lies in B and each
+    commutator is formed; above degree 1 the mixed elements lie in B and
+    their maps are read off B's word columns.  The record's echelon form
+    charts the unmixed basis, so each row's coordinates are solved."""
 
     def basis(self, k):
         basis = super().basis(k)
@@ -152,10 +156,8 @@ class _MixedLieCarrier(_UncachedLieCarrier):
         first, second = basis[:2]
         return (first + second, first - second) + basis[2:]
 
-    def coordinates(self, elements, k):
-        solved = reference_coordinates(self.basis(k), elements, k)
-        assert None not in solved
-        return solved
+    def _coordinates(self, row, k):
+        return solve_columns([row_in_A(b, k) for b in self.basis(k)], [row])[0]
 
 
 AD_ELEMENTS = [
@@ -163,6 +165,7 @@ AD_ELEMENTS = [
     lie_generator(MUBAR),
     lie_generator(MU),
     lie_generator(DELBAR),
+    lie_generator(DEL),
     d_st(2, 1),
     d_st(Fraction(1, 2), 3 + I),
     g1_element(0, 0, 0, 0),
@@ -721,8 +724,18 @@ def test_B_coordinates_of_word_n_are_the_unit_row_n():
         assert all(carrier.element({n: ONE}, k) == b for n, b in enumerate(basis))
 
 
+def test_B_names_its_terms_outside_B():
+    carrier = get_carrier("B")
+    with pytest.raises(NotInSubalgebra, match=r"^element has terms outside B: mubar$"):
+        carrier.coordinates([gen(MUBAR)], 1)
+    # every term outside B, in the canonical order, whatever the term order
+    with pytest.raises(NotInSubalgebra) as info:
+        carrier.coordinates([gen(MU) + gen(DEL) + gen(MUBAR)], 1)
+    assert info.value.offending == (NormalMonomial((), (MUBAR,)), NormalMonomial((), (MU,)))
+
+
 def test_cohomology_caches_are_bounded():
-    for cache in (_words, _generator_columns, _squares_to_zero):
+    for cache in (words, _generator_columns, _squares_to_zero):
         assert cache.cache_info().maxsize is not None
     maxsize = _cohomology_data_cached.cache_info().maxsize
     assert maxsize is not None
@@ -828,7 +841,7 @@ def test_induced_maps_match_the_per_vector_reference():
 
 
 def test_les_check_columns_match_the_element_maps():
-    # the word index (see cohomology._words): delbar*b_n and del*b_n are
+    # the word index (see algebra.words): delbar*b_n and del*b_n are
     # words n and 2^k + n of B_{k+1}, and the connecting map strips a del
     carrier = get_carrier("B")
     for k in range(0, 10):
@@ -906,6 +919,36 @@ def test_g_and_h_generator_maps_call_no_solve(monkeypatch):
     for name in ("g", "h"):
         carrier = get_carrier(name)
         for k in range(1, 7):
+            for sym in GENERATORS:
+                assert len(_generator_columns(sym, k, carrier)) == carrier.dim(k), (name, sym, k)
+
+
+def test_g_and_h_generator_maps_form_no_product_inside_B(monkeypatch):
+    # h, and g above degree 1, lie in B, so their maps are read off B's word
+    # columns; in g_1 only mubar and mu lie outside B and have [g, b] formed
+    dim_h(8)  # the tower itself is built by products
+    _generator_columns.cache_clear()
+    cohomology_module = importlib.import_module("acalg.cohomology")
+    formed = []
+
+    def record(g, b):
+        formed.append(b)
+        return graded_commutator(g, b)
+
+    monkeypatch.setattr(cohomology_module, "graded_commutator", record)
+    g1 = get_carrier("g")
+    for sym in GENERATORS:
+        _generator_columns(sym, 1, g1)
+    assert formed == [gen(MUBAR), gen(MU)] * len(GENERATORS)
+
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(cohomology_module, "graded_commutator", refuse)
+    monkeypatch.setattr(importlib.import_module("acalg.algebra"), "product", refuse)
+    for name, first in (("h", 1), ("g", 2)):
+        carrier = get_carrier(name)
+        for k in range(first, 8):
             for sym in GENERATORS:
                 assert len(_generator_columns(sym, k, carrier)) == carrier.dim(k), (name, sym, k)
 

@@ -17,7 +17,7 @@ from acalg.algebra import (
     restrict_to_B,
     row_in_A,
 )
-from acalg.cohomology import _generator_columns, get_carrier
+from acalg.cohomology import get_carrier
 from acalg.errors import InvalidDegree, NotInSubalgebra, OutOfDomain
 from acalg.lie import (
     D_MU,
@@ -38,7 +38,7 @@ from acalg.lie import (
 )
 from acalg.linalg import SpanReducer, combine
 from acalg.scalars import ONE, ZERO, Scalar
-from lie_reference import reference_coordinates, reference_graded_basis
+from lie_reference import dynkin, reference_coordinates, reference_graded_basis
 from vectors import same_span
 
 lie = importlib.import_module("acalg.lie")
@@ -306,41 +306,6 @@ def test_certification_and_coordinates_build_one_echelon_form(monkeypatch, k):
     assert LieElement(value, k).value == value
     assert get_carrier("g").coordinates([value], k) == [{0: ONE, len(basis) - 1: ONE}]
     assert built == [k]
-
-
-def dynkin(row, k):
-    """The right-normed Dynkin map theta(x_1 ... x_k) = [x_1, theta(x_2 ... x_k)]
-    on a row of B_k: split at 2^(k-1) into delbar*y_0 + del*y_1 and bracket
-    with B's cached word columns, so no product is formed."""
-    if k == 1:
-        return row
-    half = 1 << k - 1
-    parts = (
-        (DELBAR, {n: c for n, c in row.items() if n < half}),
-        (DEL, {n - half: c for n, c in row.items() if n >= half}),
-    )
-    carrier = get_carrier("B")
-    return combine(
-        (c, _generator_columns(sym, k - 1, carrier)[n])
-        for sym, part in parts
-        for n, c in dynkin(part, k - 1).items()
-    )
-
-
-def test_h_is_certified_by_the_dynkin_map():
-    # B is free on the odd letters delbar, del, so h is the free Lie
-    # superalgebra on them and theta(y) = k*y exactly on h_k
-    # (Dynkin-Specht-Wever).  Elements satisfying it, independent, and as
-    # many as the super-PBW count are a basis of h_k, whatever the builder's
-    # candidates were; the proof shares no code with the records' spans.
-    dims = super_pbw_dims(10)
-    for k in range(1, 11):
-        rows = [row_in_A(b.value, k) for _, b in h_basis(k)]
-        # h lies in B, and its rows in A are B's word positions
-        assert all(j < 1 << k for row in rows for j in row), k
-        assert len(rows) == dims[k] and SpanReducer(rows).rank == len(rows), k
-        for n, row in enumerate(rows):
-            assert dynkin(row, k) == combine([(Scalar(k), row)]), (k, n)
 
 
 @pytest.mark.parametrize("k", range(2, 8))

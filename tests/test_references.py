@@ -99,3 +99,48 @@ def test_every_definition_in_the_package_is_referenced():
 def test_the_check_tells_unreferenced_definitions(source, unreferenced):
     tree = ast.parse(source)
     assert [name for name, _ in _unreferenced(tree, [tree])] == unreferenced
+
+
+# the packed code of a normal monomial is its attribute ``packed``; these
+# are the helpers and tables that build and read it
+_PACKED_HELPERS = {"_monomial", "_passes", "_BYTE"}
+
+
+def _packed_code_reads(tree):
+    """(line, name) of each read of ``packed`` as an attribute, and of each
+    attribute, name or imported name in ``tree`` that names a helper."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name, names = node.attr, _PACKED_HELPERS | {"packed"}
+        elif isinstance(node, (ast.Name, ast.alias)):
+            name, names = getattr(node, "id", None) or node.name, _PACKED_HELPERS
+        else:
+            continue
+        if name in names:
+            yield node.lineno, name
+
+
+def test_only_algebra_reads_the_packed_code():
+    # B's word index is stated once, in algebra beside the codes it reads,
+    # and every other module asks it for words and word columns
+    found = [
+        f"{path.name}:{line} reads {name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "algebra.py"
+        for line, name in _packed_code_reads(_parse(path))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        ("row = mono.packed", [(1, "packed")]),
+        ("from .algebra import _monomial, words", [(1, "_monomial")]),
+        ("x = _passes(y, head)\nz = _BYTE['mu']", [(1, "_passes"), (2, "_BYTE")]),
+        ("packed = 1\nwords(packed)", []),
+        ("import acalg.algebra as a\na._monomial(4)", [(2, "_monomial")]),
+    ],
+)
+def test_the_check_tells_packed_code_reads(source, reads):
+    assert sorted(_packed_code_reads(ast.parse(source))) == reads
