@@ -34,10 +34,11 @@ Any other carrier reads [g, b] off them wherever b lies in B, as all of h
 and of g above degree 1 does; only for b outside B, such as mubar and mu
 in g_1, is the commutator formed.
 
+A carrier is a name, a first degree and a record per degree: the basis, its
+dimension and the coordinates of a row of A_k.  g's and h's records are
+``lie``'s one tower (g's read off h's as h rescaled), and B's are its words.
 The generator maps and the cohomology data are cached by the carrier object
 itself, so the built-in carriers and any other ``Carrier`` take one path.
-The g and h carriers read each degree's basis and coordinates from ``lie``'s
-one tower of records: h's, and g's, read off h's as h rescaled.
 
 ``cohomology`` and ``cohomology_dims`` answer a degree that a weight bound
 certifies as zero with (0, no representatives), without building ad_a, its
@@ -56,17 +57,20 @@ is always the direct path: induced maps and the cone checks read its rows.
 ``les_check`` verifies the mapping-cone identity for ad_mubar on B, the skew
 commutation of ad_mubar with left multiplication by delbar, and the
 node-by-node exactness of the induced long sequence on cohomology.
-``frolicher_E1`` computes the two-step page H(H(-, ad_mubar), ad_delbar).
-Both read the cached generator maps; left multiplication by delbar and del
-on B, the splitting and the connecting map are read off B's word index,
-where word n of B_k is n in binary (see ``algebra.words``).
+``frolicher_E1`` computes the two-step page H(H(-, ad_mubar), ad_delbar),
+the E_2 page of the weight spectral sequence, after checking that the
+induced ad_delbar squares to zero.  Both take homology at each node of
+their sequences through ``_homology`` and read the cached generator maps;
+left multiplication by delbar and del on B, the splitting and the
+connecting map are read off B's word index, where word n of B_k is n in
+binary (see ``algebra.words``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .algebra import (
     DELBAR,
@@ -85,30 +89,34 @@ from .algebra import (
     words,
 )
 from .errors import InvalidDegree, NotADifferential, NotInSubalgebra, NotWellDefined
-from .lie import LieElement, _g_basis, _graded_basis, _GradedBasis
+from .lie import LieElement, _g_basis, _graded_basis
 from .linalg import ExactMatrix, Row, SpanReducer, combine, solve_columns
 from .scalars import ONE, Scalar
 
 
 class Carrier:
-    """A graded coefficient space with a deterministic basis per degree.
+    """A graded coefficient space with a deterministic basis per degree:
+    zero below ``first_degree``, and ``record(k)`` above it.
 
-    Coordinates are rows: dicts from a basis index to a nonzero coefficient.
-    ``first_degree`` is the lowest degree whose piece can be nonzero.
+    A record holds degree k's basis ``values``, their number ``dim``, and
+    ``coordinates(row)``: a row of A_k's coordinates in the values, or None
+    outside their span.  Coordinates are rows: dicts from a basis index to a
+    nonzero coefficient.  Carriers compare and hash by identity, so each
+    caches its maps apart.
     """
 
-    name = "?"
-    first_degree = 1
+    def __init__(self, name: str, first_degree: int, record: Callable[[int], Any]):
+        self.name, self.first_degree, self.record = name, first_degree, record
 
     def basis(self, k: int) -> tuple[AlgebraElement, ...]:
-        raise NotImplementedError
+        return self.record(k).values if k >= self.first_degree else ()
 
     def dim(self, k: int) -> int:
-        return len(self.basis(k))
+        return self.record(k).dim if k >= self.first_degree else 0
 
     def coordinates(self, elements: Sequence[AlgebraElement | Row], k: int) -> list[Row]:
         """Coordinates of degree-k elements, or of rows of A_k, in basis(k);
-        raises if outside.  Each row is ``_coordinates(row, k)``: None outside."""
+        raises if outside."""
         out: list[Row] = []
         for e in elements:
             try:
@@ -117,7 +125,10 @@ class Carrier:
                 mono = min((m for m in e._terms if m.degree != k), key=NormalMonomial.sort_key)
                 raise NotWellDefined(
                     f"degree {mono.degree} term in {self.name}_{k}: {mono}") from None
-            coords = self._coordinates(row, k)
+            if k >= self.first_degree:
+                coords = self.record(k).coordinates(row)
+            else:
+                coords = None if row else {}
             if coords is None:
                 raise NotWellDefined(f"element is outside carrier {self.name} at degree {k}: {e}")
             out.append(coords)
@@ -128,48 +139,33 @@ class Carrier:
         return AlgebraElement._of_nonzero(combine((c, basis[j]._terms) for j, c in coords.items()))
 
 
-class _LieCarrier(Carrier):
-    """g or h, zero in degree 0, with each degree k >= 1 read from the
-    record that ``lie`` keeps for it."""
+class _WordRecord:
+    """Degree k of B: all 2^k words in delbar, del (``algebra.words``)."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, k: int):
+        self.k = k
 
-    def _record(self, k: int) -> _GradedBasis:
-        # the records themselves, not lie_basis or h_basis, which are what the
-        # bench tracer's lie.basis span wraps: a carrier's reads are not counted
-        return _g_basis(k) if self.name == "g" else _graded_basis(k)
+    @property
+    def values(self) -> tuple[AlgebraElement, ...]:
+        return words(self.k)
 
-    def basis(self, k: int) -> tuple[AlgebraElement, ...]:
-        return self._record(k).values if k >= 1 else ()
+    @property
+    def dim(self) -> int:
+        return 1 << self.k
 
-    def _coordinates(self, row: Row, k: int) -> Row | None:
-        return self._record(k).coordinates(row) if k >= 1 else (None if row else {})
-
-
-class _WordCarrier(Carrier):
-    """B: all words in delbar, del; degree 0 is spanned by the unit."""
-
-    name = "B"
-    first_degree = 0
-
-    def basis(self, k: int) -> tuple[AlgebraElement, ...]:
-        return words(k) if k >= 0 else ()
-
-    def dim(self, k: int) -> int:
-        return 2**k if k >= 0 else 0
-
-    def _coordinates(self, row: Row, k: int) -> Row:
+    def coordinates(self, row: Row) -> Row:
         # word n of B_k is element n of A_k, so a row inside B_k is its own row here
-        if any(j >> k for j in row):
-            raise NotInSubalgebra(basis_A(k)[j] for j in sorted(row) if j >> k)
+        if any(j >> self.k for j in row):
+            raise NotInSubalgebra(basis_A(self.k)[j] for j in sorted(row) if j >> self.k)
         return row
 
 
+# the records themselves, not lie_basis or h_basis, which are what the bench
+# tracer's lie.basis span wraps: a carrier's reads are not counted
 CARRIERS = {
-    "g": _LieCarrier("g"),
-    "h": _LieCarrier("h"),
-    "B": _WordCarrier(),
+    "g": Carrier("g", 1, _g_basis),
+    "h": Carrier("h", 1, _graded_basis),
+    "B": Carrier("B", 0, _WordRecord),
 }
 
 
@@ -225,7 +221,7 @@ def _generator_columns(sym: str, k: int, carrier: Carrier) -> list[Row]:
     no product formed, and the commutator's row elsewhere.
     """
     columns = word_columns(sym, k) if k >= 0 else []
-    if isinstance(carrier, _WordCarrier):
+    if carrier.record is _WordRecord:
         return columns
     g, images = generator_element(sym), []
     for b in carrier.basis(k):
@@ -390,27 +386,36 @@ def induced_map(
     return ExactMatrix.from_columns(classes, nrows=target.dim)
 
 
+def _homology(incoming: ExactMatrix, outgoing: ExactMatrix) -> int | None:
+    """dim ker(outgoing) / im(incoming) at the node between the two maps, or
+    None when they do not compose to zero."""
+    if not (outgoing @ incoming).is_zero():
+        return None
+    return outgoing.ncols - outgoing.rank() - incoming.rank()
+
+
 def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
     """Dimensions of H(H(carrier, ad_mubar), ad_delbar) for degrees <= k_max.
 
     The induced ad_delbar is checked to be well defined on the ad_mubar
-    cohomology before the second cohomology is taken.
+    cohomology, and to square to zero there, before the second cohomology
+    is taken.
     """
     carrier = get_carrier(carrier)
     mubar = generator_element(MUBAR)
     k_min = carrier.first_degree
-
-    data: dict[int, CohomologyData] = {}
-    for k in range(k_min - 1, k_max + 2):
-        data[k] = cohomology_data(mubar, k, carrier)
-
-    maps: dict[int, ExactMatrix] = {}
-    for k in range(k_min - 1, k_max + 1):
-        maps[k] = induced_map(data[k], data[k + 1], _generator_columns(DELBAR, k, carrier))
-
-    return {
-        k: maps[k].ncols - maps[k].rank() - maps[k - 1].rank() for k in range(k_min, k_max + 1)
+    data = {k: cohomology_data(mubar, k, carrier) for k in range(k_min - 1, k_max + 2)}
+    maps = {
+        k: induced_map(data[k], data[k + 1], _generator_columns(DELBAR, k, carrier))
+        for k in range(k_min - 1, k_max + 1)
     }
+    page: dict[int, int] = {}
+    for k in range(k_min, k_max + 1):
+        dim = _homology(maps[k - 1], maps[k])
+        if dim is None:
+            raise NotWellDefined(f"induced delbar does not square to zero at degree {k}")
+        page[k] = dim
+    return page
 
 
 # -- the mapping-cone decomposition of B --------------------------------------
@@ -535,36 +540,20 @@ def les_check(k_max: int) -> LesReport:
 
     # (c) exactness of the induced long sequence on cohomology
     data = {k: cohomology_data(mubar, k, carrier) for k in range(0, k_max + 1)}
-    up: dict[int, ExactMatrix] = {-1: ExactMatrix.zeros(data[0].dim, 0)}
-    down: dict[int, ExactMatrix] = {}
-    for j in range(0, k_max):
-        # delbar*b_n is word n of B_{j+1}, so delbar's columns are units
-        up[j] = induced_map(data[j], data[j + 1], [{n: ONE} for n in range(1 << j)])
-    for j in range(1, k_max + 1):
-        down[j] = induced_map(data[j], data[j - 1], _delta_columns(j))
+    # delbar*b_n is word n of B_{j+1}, so delbar's columns are units
+    up = {-1: ExactMatrix.zeros(data[0].dim, 0)} | {
+        j: induced_map(data[j], data[j + 1], [{n: ONE} for n in range(1 << j)])
+        for j in range(k_max)
+    }
+    down = {j: induced_map(data[j], data[j - 1], _delta_columns(j)) for j in range(1, k_max + 1)}
 
-    def exact(incoming: ExactMatrix, outgoing: ExactMatrix, middle_dim: int) -> bool:
-        return (outgoing @ incoming).is_zero() and incoming.rank() + outgoing.rank() == middle_dim
-
-    for j in range(0, k_max):
-        # node H^j between delbar from below and delbar into degree j+1
-        report.add(
-            "exactness-at-delbar-node",
-            j,
-            exact(up[j - 1], up[j], data[j].dim),
-        )
-    for j in range(1, k_max + 1):
-        # node H^j arrived by delbar, leaving by the connecting map
-        report.add(
-            "exactness-at-connecting-node",
-            j,
-            exact(up[j - 1], down[j], data[j].dim),
-        )
-    for j in range(0, k_max):
-        # node H^j arrived by the connecting map from degree j+1, leaving by delbar
-        report.add(
-            "exactness-at-cone-node",
-            j,
-            exact(down[j + 1], up[j], data[j].dim),
-        )
+    # each node H^j, between the map arriving at it and the map leaving it
+    nodes = (
+        ("exactness-at-delbar-node", range(0, k_max), lambda j: (up[j - 1], up[j])),
+        ("exactness-at-connecting-node", range(1, k_max + 1), lambda j: (up[j - 1], down[j])),
+        ("exactness-at-cone-node", range(0, k_max), lambda j: (down[j + 1], up[j])),
+    )
+    for name, degrees, maps in nodes:
+        for j in degrees:
+            report.add(name, j, _homology(*maps(j)) == 0)
     return report

@@ -14,13 +14,13 @@ membership and its coordinates at once; g's record keeps h's words.
 ``lie_basis``, ``h_basis``, the g and h carriers and the Maurer-Cartan check
 read these records, and a ``LieElement`` above degree 1 is certified by g's.
 
-Two derivations of the free Lie algebra on delbar, del are provided:
+h is the free Lie superalgebra on delbar, del, so ad_mubar and ad_mu on it
+are the derivations fixed by their values there, as D_MUBAR and D_MU encode:
 
     D_mubar:  delbar -> 0,              del -> -1/2 [delbar, delbar]
     D_mu:     delbar -> -1/2 [del, del], del -> 0,  D_mubar -> -[del, delbar]
 
-extended by the graded Leibniz rule.  They model the adjoint actions of mubar
-and mu on h and serve as an independent cross-check of the bracket.
+extended by the graded Leibniz rule, an independent cross-check of the bracket.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .algebra import (
     GENERATORS,
     AlgebraElement,
     d_element,
+    generator_coefficients,
     generator_element,
     graded_commutator,
     row_in_A,
@@ -129,6 +130,10 @@ class _GradedBasis:
     @cached_property
     def values(self) -> tuple[AlgebraElement, ...]:
         return tuple(b.value for _, b in self.pairs)
+
+    @property
+    def dim(self) -> int:
+        return len(self.pairs)
 
     @cached_property
     def chart(self) -> SpanReducer:
@@ -335,6 +340,5 @@ def project_hol(a: LieElement) -> HolElement:
     """
     if a.degree != 1:
         return HOL_ZERO
-    delbar_mono = generator_element(DELBAR).monomials()[0]
-    del_mono = generator_element(DEL).monomials()[0]
-    return HolElement(a.value.coefficient(delbar_mono), a.value.coefficient(del_mono))
+    _, y, z, _ = generator_coefficients(a.value)
+    return HolElement(y, z)

@@ -159,9 +159,9 @@ def test_h_is_certified_by_the_dynkin_map():
     # many as the super-PBW count are a basis of h_k, whatever the builder's
     # candidates were; the proof shares no code with the records' spans.
     start = time.time()
-    oracle = super_pbw_dims(10)
+    oracle = super_pbw_dims(12)
     ok, counts = True, {}
-    for k in range(1, 11):
+    for k in range(1, 13):
         rows = [row_in_A(b.value, k) for _, b in h_basis(k)]
         counts[k] = len(rows)
         # h lies in B, and its rows in A are B's word positions
@@ -169,7 +169,7 @@ def test_h_is_certified_by_the_dynkin_map():
         ok = ok and len(rows) == oracle[k] and SpanReducer(rows).rank == len(rows)
         ok = ok and all(dynkin(row, k) == combine([(Scalar(k), row)]) for row in rows)
     elapsed = time.time() - start
-    report("Dynkin", ok, f"theta(b) = k*b on independent bases of h_k, k=1..10, as many as the super-PBW count {list(counts.values())} ({elapsed:.2f}s)")
+    report("Dynkin", ok, f"theta(b) = k*b on independent bases of h_k, k=1..12, as many as the super-PBW count {list(counts.values())} ({elapsed:.2f}s)")
 
 
 def test_criterion_3_subalgebra_cohomology():

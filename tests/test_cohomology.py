@@ -1,8 +1,10 @@
 import importlib
 import itertools
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,11 +25,11 @@ from acalg.algebra import (
 )
 from acalg.cohomology import (
     Carrier,
-    _LieCarrier,
     _cohomology_data_cached,
     _cone_failures,
     _delta_columns,
     _generator_columns,
+    _homology,
     _squares_to_zero,
     ad_matrix,
     cohomology,
@@ -129,35 +131,41 @@ def reference_ad_columns(value, k, carrier):
     return reference_coordinates(carrier.basis(k + 1), images, k + 1)
 
 
-class _UncachedLieCarrier(_LieCarrier):
-    """g as a carrier of its own, read from the two-seed reference builder,
-    so its maps are built and cached apart from those of g."""
-
-    def __init__(self):
-        super().__init__("g")
-
-    def _record(self, k):
-        return reference_graded_basis(GENERATORS, k)
+# g as a carrier of its own, read from the two-seed reference builder, so its
+# maps are built and cached apart from those of g
+_UncachedLieCarrier = partial(Carrier, "g", 1, partial(reference_graded_basis, GENERATORS))
 
 
-class _MixedLieCarrier(_UncachedLieCarrier):
-    """g with the first two basis elements of each degree replaced by their
-    sum and difference.  The basis is no longer bihomogeneous, so the
+@dataclass(frozen=True)
+class _MixedRecord:
+    """Degree k of g with the first two basis elements replaced by their sum
+    and difference.  The basis is no longer bihomogeneous, so the
     generators' contributions to one ad_a entry can cancel.  Its degree-1
     basis mixes mubar into delbar, so neither element lies in B and each
     commutator is formed; above degree 1 the mixed elements lie in B and
-    their maps are read off B's word columns.  The record's echelon form
-    charts the unmixed basis, so each row's coordinates are solved."""
+    their maps are read off B's word columns.  The reference record's
+    echelon form charts the unmixed basis, so each row's coordinates are
+    solved."""
 
-    def basis(self, k):
-        basis = super().basis(k)
-        if len(basis) < 2:
-            return basis
-        first, second = basis[:2]
-        return (first + second, first - second) + basis[2:]
+    k: int
 
-    def _coordinates(self, row, k):
-        return solve_columns([row_in_A(b, k) for b in self.basis(k)], [row])[0]
+    @cached_property
+    def values(self):
+        values = reference_graded_basis(GENERATORS, self.k).values
+        if len(values) < 2:
+            return values
+        first, second = values[:2]
+        return (first + second, first - second) + values[2:]
+
+    @property
+    def dim(self):
+        return len(self.values)
+
+    def coordinates(self, row):
+        return solve_columns([row_in_A(b, self.k) for b in self.values], [row])[0]
+
+
+_MixedLieCarrier = partial(Carrier, "g", 1, _MixedRecord)
 
 
 AD_ELEMENTS = [
@@ -592,6 +600,34 @@ def test_a_corrupted_column_fails_both_passes_alike(k, n, how):
     assert any(w is not None for w in failures[0] + failures[1])
 
 
+def test_les_exactness_reads_the_maps_at_each_node(monkeypatch):
+    # each node H^j is read between the map arriving at it and the map
+    # leaving it; on B every H^j is one class, so a swapped pair gives the
+    # same verdicts, and only the maps' degrees tell the pairs apart
+    cohomology_module = importlib.import_module("acalg.cohomology")
+    ends, nodes = {}, []
+
+    def traced_induced_map(source, target, columns):
+        matrix = induced_map(source, target, columns)
+        ends[id(matrix)] = (source.degree, target.degree)
+        return matrix
+
+    def traced_homology(incoming, outgoing):
+        nodes.append((ends.get(id(incoming)), ends.get(id(outgoing))))
+        return _homology(incoming, outgoing)
+
+    monkeypatch.setattr(cohomology_module, "induced_map", traced_induced_map)
+    monkeypatch.setattr(cohomology_module, "_homology", traced_homology)
+    exactness = [r for r in les_check(5).records if r.name.startswith("exactness")]
+    # nothing arrives at H^0 by delbar: that map is the zero map from 0
+    expected = {
+        "exactness-at-delbar-node": lambda j: ((j - 1, j) if j else None, (j, j + 1)),
+        "exactness-at-connecting-node": lambda j: ((j - 1, j), (j, j - 1)),
+        "exactness-at-cone-node": lambda j: ((j + 1, j), (j, j + 1)),
+    }
+    assert nodes == [expected[r.name](r.degree) for r in exactness]
+
+
 def test_les_check_rejects_tiny_degree():
     with pytest.raises(InvalidDegree):
         les_check(1)
@@ -677,16 +713,37 @@ def test_E1_dominates_total_cohomology():
         assert table[k] >= d_dims[k], k
 
 
-class _ZeroCarrier(Carrier):
-    name = "zero-test"
+def test_homology_reads_the_node_between_two_maps():
+    def matrix(*columns, nrows):
+        return ExactMatrix.from_columns(list(columns), nrows=nrows)
 
-    def basis(self, k):
-        return ()
+    # C^0 -> C^1 -> C^2 with e_0 -> e_0 and then e_1 -> e_0: the composite
+    # is zero, and the node C^1 keeps nothing, C^2 one of its two vectors,
+    # and C^1 with nothing arriving its kernel e_0
+    incoming = matrix({0: ONE}, nrows=2)
+    outgoing = matrix({}, {0: ONE}, nrows=2)
+    assert _homology(incoming, outgoing) == 0
+    assert _homology(outgoing, ExactMatrix.zeros(0, 2)) == 1
+    assert _homology(ExactMatrix.zeros(2, 0), outgoing) == 1
+    # e_0 -> e_0 twice: the composite is not zero, whatever the ranks say
+    assert _homology(incoming, matrix({0: ONE}, {}, nrows=2)) is None
+    assert _homology(matrix({0: ONE}, nrows=1), matrix({0: ONE}, nrows=1)) is None
 
-    def coordinates(self, elements, k):
-        for e in elements:
-            assert e.is_zero()
-        return [{} for _ in elements]
+
+def test_E1_refuses_an_induced_delbar_that_does_not_square_to_zero(monkeypatch):
+    # H^k(B, ad mubar) is one class for k >= 0, so a 1x1 identity out of
+    # every degree composes to the identity; nothing arrives at degree 0
+    def identity(source, target, columns):
+        return ExactMatrix.from_columns([{0: ONE}] * source.dim, nrows=target.dim)
+
+    monkeypatch.setattr(importlib.import_module("acalg.cohomology"), "induced_map", identity)
+    with pytest.raises(NotWellDefined, match="induced delbar does not square to zero at degree 1"):
+        frolicher_E1("B", 3)
+
+
+# a carrier that is zero in every degree
+_ZERO_RECORD = SimpleNamespace(values=(), dim=0, coordinates=lambda row: None if row else {})
+_ZeroCarrier = partial(Carrier, "zero-test", 1, lambda k: _ZERO_RECORD)
 
 
 def test_E1_on_zero_carrier():
