@@ -8,9 +8,9 @@ previous basis, with a greedy exact-rank selection making it deterministic;
 g's basis above degree 1 is h's with some elements times -1/2 (``_g_basis``).
 
 Each degree of h is built once, into one cached record: its bracket words
-and elements, and, on first use, their values and one echelon form of their
-rows in ``basis_A(k)``, tagged by index, that gives a row of A_k its
-membership and its coordinates at once; g's record keeps h's words.
+and elements, and, on first use, their values and the ``linalg.Chart`` of
+their rows in ``basis_A(k)``, which gives a row of A_k its membership and
+its coordinates at once; g's record keeps h's words.
 ``lie_basis``, ``h_basis``, the g and h carriers and the Maurer-Cartan check
 read these records, and a ``LieElement`` above degree 1 is certified by g's.
 
@@ -41,8 +41,8 @@ from .algebra import (
     row_in_A,
 )
 from .errors import InvalidDegree, OutOfDomain
-from .linalg import Row, SpanReducer
-from .scalars import HALF, ONE, Scalar, ZERO
+from .linalg import Chart, Row, SpanReducer
+from .scalars import HALF, Scalar, ZERO
 
 #: nested-tuple bracket expressions over the leaves below
 BracketWord = Union[str, tuple]
@@ -114,13 +114,10 @@ def _in_lie_span(value: AlgebraElement, degree: int) -> bool:
             or _g_basis(degree).coordinates(row_in_A(value, degree)) is not None)
 
 
-_TAG = 1 << 64  # past every column of A: A_k's are below 2^(k+2), k < 62 in reach
-
-
 @dataclass(frozen=True)
 class _GradedBasis:
     """One degree of a graded basis: the (bracket word, element) pairs in
-    selection order, with their values and the tagged echelon form of their
+    selection order, with their values and the ``linalg.Chart`` of their
     rows in ``basis_A(k)`` built on first use, so that a caller asking only
     for the pairs builds nothing more."""
 
@@ -136,19 +133,12 @@ class _GradedBasis:
         return len(self.pairs)
 
     @cached_property
-    def chart(self) -> SpanReducer:
-        """The echelon form of the values' rows in A, row n tagged by ONE at _TAG + n."""
-        rows = (row_in_A(v, self.k) for v in self.values)
-        return SpanReducer({**row, _TAG + n: ONE} for n, row in enumerate(rows))
+    def chart(self) -> Chart:
+        return Chart(row_in_A(v, self.k) for v in self.values)
 
     def coordinates(self, row: Row) -> Row | None:
-        """A row of A_k's coordinates in the values, or None outside their span:
-        reducing it subtracts some x of the tagged rows, leaving row minus
-        x's combination, zero exactly on the span, and -x_n at _TAG + n."""
-        residue = self.chart.reduce(row)
-        if any(j < _TAG for j in residue):
-            return None
-        return {j - _TAG: -x for j, x in residue.items()}
+        """A row of A_k's coordinates in the values, or None outside their span."""
+        return self.chart.coordinates(row)
 
 
 # 32 degrees; dim A_k = 9 * 2^(k-2) keeps far fewer within reach

@@ -14,11 +14,14 @@ through ``SpanReducer``, an incremental reduced row-echelon form over rows.
 Each row has a leading 1 at its pivot (its first nonzero column) and a zero
 in every other row's pivot column.
 
-A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``,
-``solve_columns`` and ``SpanReducer.reduce``, thin readers of the engine, and
-the greedy selections made with ``SpanReducer.add`` do not depend on the
-order rows arrive in.  ``reduce`` gives a vector's residue modulo the span:
-it is linear in the vector and zero exactly on the span.
+A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``
+and ``SpanReducer.reduce``, thin readers of the engine, and the greedy
+selections made with ``SpanReducer.add`` do not depend on the order rows
+arrive in.  ``reduce`` gives a vector's residue modulo the span: it is
+linear in the vector and zero exactly on the span.  ``Chart(rows)`` is the
+one coordinate reader: an echelon form of the rows, each tagged by its
+index in columns past all others, whose residues carry a vector's
+coordinates in the rows.  ``solve_columns`` reads one chart.
 
 The engine computes on Python's own numbers.  Nearly every entry it meets
 is real, and most are small integers, so a real entry is kept as its part,
@@ -26,9 +29,9 @@ an ``int`` or a ``Fraction``, and only an entry with a nonzero imaginary part
 stays a ``GaussianRational``, which takes int and Fraction operands on both
 sides; one code path serves real and mixed rows.  Rows are lowered to that
 form where they enter the engine (``SpanReducer.add``, ``reduce`` and
-``contains``, ``ExactMatrix``'s eliminations and ``solve_columns``) and
-raised back to canonical scalars where they leave it (``reduce``,
-``nullspace`` and ``solve_columns``).  ``ExactMatrix`` stores scalars.
+``contains``, ``ExactMatrix``'s eliminations and ``Chart``) and raised back
+to canonical scalars where they leave it (``reduce``, ``nullspace`` and
+``Chart.coordinates``).  ``ExactMatrix`` stores scalars.
 Dividing by a pivot stays exact: -1 negates the row, an int pivot divides
 int entries by ``divmod`` (an int, or a Fraction when inexact), and every
 other case divides through ``Fraction`` or ``GaussianRational``, so no ``/``
@@ -201,39 +204,11 @@ def combine(terms: Iterable[tuple[Scalar, Mapping]]) -> dict:
 def solve_columns(
     basis_columns: Sequence[Row], rhs_columns: Sequence[Row]
 ) -> list[Row | None]:
-    """Solve basis * x = rhs for every rhs column in one elimination pass.
-
-    Returns, per right-hand side, its coordinates in terms of
-    ``basis_columns`` as a row, or None when the column is outside their
-    span.  Free basis columns (if the basis is dependent) get coordinate
-    zero.
-
-    The rows of [basis | rhs] are reduced together.  Row operations keep the
-    relations between columns, so a right-hand side is in the basis span
-    exactly when no row pivoting outside the basis touches it, and then its
-    coordinates are its entries in the basis pivot rows.
-    """
-    if not rhs_columns:
-        return []
-    ncols = len(basis_columns)
-    columns = list(basis_columns) + list(rhs_columns)
-    by_row: dict[int, dict] = {}
-    for j, col in enumerate(columns):
-        for i, x in _lowered(col).items():
-            by_row.setdefault(i, {})[j] = x
-    reducer = SpanReducer()
-    for row in by_row.values():
-        reducer._insert(row)
-    rows = reducer._rows
-    outside = [row for pivot, row in rows.items() if pivot >= ncols]
-    inside = [(pivot, row) for pivot, row in rows.items() if pivot < ncols]
-    out: list[Row | None] = []
-    for col in range(ncols, len(columns)):
-        if any(col in row for row in outside):
-            out.append(None)
-        else:
-            out.append({pivot: as_scalar(row[col]) for pivot, row in inside if col in row})
-    return out
+    """Solve basis * x = rhs for every rhs column, reading one ``Chart`` of
+    the basis: per right-hand side, its coordinates as a row, or None outside
+    the span.  A basis column that depends on earlier ones gets coordinate 0."""
+    chart = Chart(basis_columns)
+    return [chart.coordinates(col) for col in rhs_columns]
 
 
 class SpanReducer:
@@ -278,10 +253,8 @@ class SpanReducer:
             self._clear(row, rows[pivot], pivot)
         return row
 
-    def _insert(self, row: dict) -> bool:
-        residue = self._reduce(row)
-        if not residue:
-            return False
+    def _place(self, residue: dict) -> None:
+        """Make a nonzero residue a row with a leading 1; clear its pivot elsewhere."""
         pivot = min(residue)
         lead = residue[pivot]
         if lead != 1:
@@ -298,6 +271,12 @@ class SpanReducer:
             if pivot in other:
                 self._clear(other, residue, pivot)
         self._rows[pivot] = residue
+
+    def _insert(self, row: dict) -> bool:
+        residue = self._reduce(row)
+        if not residue:
+            return False
+        self._place(residue)
         return True
 
     def reduce(self, vec: Row) -> Row:
@@ -312,6 +291,33 @@ class SpanReducer:
         """Insert ``vec`` if independent; returns True when it was added.
         The caller's row is left as it was."""
         return self._insert(_lowered(vec))
+
+
+_TAG = 1 << 64  # past every column charted: A_k's are below 2^(k+2), k < 62 in reach
+
+
+class Chart:
+    """Coordinates in the span of ``rows``: their echelon form, row n tagged
+    by 1 at column _TAG + n, without the rows that depend on earlier ones,
+    whose coordinates are then 0.  Reducing a vector subtracts some x of the
+    tagged rows, leaving the vector minus x's combination, zero exactly on
+    the span, and -x_n at _TAG + n."""
+
+    def __init__(self, rows: Iterable[Row]):
+        span = self._span = SpanReducer()
+        for n, row in enumerate(rows):
+            # a dependent row reduces to tags alone and is left out
+            residue = span._reduce({**_lowered(row), _TAG + n: 1})
+            if min(residue) < _TAG:
+                span._place(residue)
+
+    def coordinates(self, vec: Row) -> Row | None:
+        """The row of ``vec``'s coordinates in the rows, or None outside
+        their span."""
+        residue = self._span._reduce(_lowered(vec))
+        if any(j < _TAG for j in residue):
+            return None
+        return {j - _TAG: as_scalar(-x) for j, x in residue.items()}
 
 
 def _divided(x, lead: int):

@@ -7,8 +7,8 @@ it as h rescaled; tests compare both records with what this builder
 selects on its own.
 
 ``reference_coordinates`` is the generic carrier's coordinate solve: one
-``solve_columns`` of the elements' rows in A against the basis rows.  The
-package reads g's and h's coordinates off each record's one echelon form;
+transposed solve of the elements' rows in A against the basis rows.  The
+package reads g's and h's coordinates off each record's ``linalg.Chart``;
 tests compare them, and the certification verdicts, with this solve.
 
 ``pbw_series`` is the Poincare series of a free graded-commutative
@@ -32,7 +32,8 @@ from acalg.algebra import (
     word_columns,
 )
 from acalg.lie import LieElement, _GradedBasis, lie_generator
-from acalg.linalg import SpanReducer, combine, solve_columns
+from acalg.linalg import SpanReducer, combine
+from vectors import transposed_solve
 
 
 # 2 seeds x 32 degrees
@@ -57,7 +58,9 @@ def reference_graded_basis(seed: tuple[str, ...], k: int) -> _GradedBasis:
 def reference_coordinates(basis, elements, k):
     """The coordinates of degree-k ``elements`` in ``basis``, each a row, or
     None for an element outside its span: one solve of their rows in A."""
-    return solve_columns([row_in_A(b, k) for b in basis], [row_in_A(e, k) for e in elements])
+    return transposed_solve(
+        [row_in_A(b, k) for b in basis], [row_in_A(e, k) for e in elements]
+    )
 
 
 def pbw_series(dims, k_max):

@@ -3,8 +3,8 @@
 A carrier is ``Carrier(name, first_degree, record)``, and ``record(k)`` holds
 degree k's ``values``, ``dim`` and ``coordinates(row)``.  g's and h's records
 are ``lie``'s; B's is the word record.  The tests check that each record
-charts its own basis, and an ``ast`` guard keeps per-carrier subclasses out
-of the package.
+charts its own basis, and ``ast`` guards keep per-carrier subclasses out of
+the package and the chart's tag columns inside ``linalg``.
 """
 
 import ast
@@ -56,8 +56,12 @@ def _base_names(tree):
                 yield base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
 
 
+def _source_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")}
+
+
 def test_the_package_has_one_carrier_class():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")}
+    trees = _source_trees()
     subclassing = [module for module, tree in trees.items() if "Carrier" in _base_names(tree)]
     assert subclassing == []
     retired = [
@@ -65,3 +69,20 @@ def test_the_package_has_one_carrier_class():
         for name in _defined_names(tree) if name in ("_LieCarrier", "_WordCarrier")
     ]
     assert retired == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name
+                yield alias.asname
+
+
+def test_only_linalg_knows_the_chart_tag():
+    # every coordinate read goes through linalg.Chart, so no other module tags rows
+    tagging = [
+        module for module, tree in _source_trees().items()
+        if "_TAG" in {*_defined_names(tree), *_imported_names(tree)}
+    ]
+    assert tagging == ["linalg.py"]

@@ -47,7 +47,7 @@ from acalg.linalg import ExactMatrix, SpanReducer, solve_columns
 from acalg.mc import d_st, g1_coordinates, g1_element
 from acalg.scalars import I, ONE
 from lie_reference import pbw_series, reference_coordinates, reference_graded_basis
-from vectors import apply, same_span, transpose
+from vectors import apply, same_span, transpose, transposed_solve
 
 def gen(sym):
     return generator_element(sym)
@@ -813,9 +813,10 @@ def reference_rep_coords(data):
 
 def reference_classes(data, vectors):
     """CohomologyData.classes as it was before it read the image span: one
-    solve against [representatives | image], keeping the representatives'
-    coordinates.  Kept as the reference the residue solve must reproduce."""
-    solved = solve_columns(data.rep_coords + data.image, vectors)
+    transposed solve against [representatives | image], keeping the
+    representatives' coordinates.  Kept as the reference the residue solve
+    must reproduce."""
+    solved = transposed_solve(data.rep_coords + data.image, vectors)
     dim = data.dim
     return [None if s is None else {j: x for j, x in s.items() if j < dim} for s in solved]
 

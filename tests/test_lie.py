@@ -36,7 +36,7 @@ from acalg.lie import (
     lie_generator,
     project_hol,
 )
-from acalg.linalg import SpanReducer, combine
+from acalg.linalg import Chart, SpanReducer, combine
 from acalg.scalars import ONE, ZERO, Scalar
 from lie_reference import dynkin, reference_coordinates, reference_graded_basis
 from vectors import same_span
@@ -246,6 +246,7 @@ def test_degree_one_certification_builds_no_span(monkeypatch):
     _graded_basis.cache_clear()
     _g_basis.cache_clear()
     monkeypatch.setattr(lie, "SpanReducer", None)
+    monkeypatch.setattr(lie, "Chart", None)
     rng = random.Random(1)
     for _ in range(50):
         value = AlgebraElement.zero()
@@ -296,12 +297,12 @@ def test_certification_and_coordinates_build_one_echelon_form(monkeypatch, k):
     basis = lie_basis(k)  # built first: the builder's own reducer is not counted
     built = []
 
-    class CountingReducer(SpanReducer):
-        def __init__(self, vectors=()):
+    class CountingChart(Chart):
+        def __init__(self, rows):
             built.append(k)
-            super().__init__(vectors)
+            super().__init__(rows)
 
-    monkeypatch.setattr(lie, "SpanReducer", CountingReducer)
+    monkeypatch.setattr(lie, "Chart", CountingChart)
     value = basis[0].value + basis[-1].value
     assert LieElement(value, k).value == value
     assert get_carrier("g").coordinates([value], k) == [{0: ONE, len(basis) - 1: ONE}]

@@ -15,10 +15,10 @@ from acalg.algebra import (
 )
 from acalg.cohomology import ad_matrix
 from acalg.lie import d_lie, lie_generator
-from acalg.linalg import ExactMatrix, SpanReducer, combine, solve_columns
+from acalg.linalg import _TAG, Chart, ExactMatrix, SpanReducer, combine, solve_columns
 from acalg.scalars import HALF as H, I, GaussianRational, ONE, ZERO, as_scalar
 from lie_reference import reference_graded_basis
-from vectors import apply, as_dense, as_row, columns, same_span, transpose
+from vectors import apply, as_dense, as_row, columns, same_span, transpose, transposed_solve
 
 try:  # sympy is a test-only dependency (the ``test`` extra)
     from sympy import QQ, QQ_I
@@ -144,6 +144,17 @@ def test_span_reducer_greedy():
     assert reducer.contains(v2)
     assert not reducer.contains({2: ONE})
     assert SpanReducer([v1, v2, v12]).rank == 2
+
+
+def test_chart_gives_dependent_rows_coordinate_zero():
+    v, w = {0: ONE, 2: ONE}, {1: I, 2: -ONE}
+    chart = Chart([v, v, w])
+    assert chart.coordinates(v) == {0: ONE}
+    assert chart.coordinates(combine([(ONE, v), (ONE, w)])) == {0: ONE, 2: ONE}
+    assert chart.coordinates({2: ONE}) is None
+    empty = Chart([])
+    assert empty.coordinates({}) == {}
+    assert empty.coordinates({0: I}) is None
 
 
 def test_same_span():
@@ -377,9 +388,10 @@ def test_returned_rows_hold_nonzero_entries_only():
 # The engine keeps real entries as ints and Fractions.  ReferenceSpanReducer
 # is the engine as it was when every entry was a GaussianRational, and the
 # reference readers below read it as ExactMatrix.rank, ExactMatrix.nullspace
-# and solve_columns did.  Both must give the same ranks, kernel rows,
-# coordinates, residues and add verdicts, key order included, on random
-# sparse matrices of four entry kinds and on the matrices acalg eliminates.
+# and Chart do.  Both must give the same ranks, kernel rows, coordinates,
+# residues and add verdicts, key order included, on random sparse matrices
+# of four entry kinds and on the matrices acalg eliminates.  Coordinates are
+# also checked, by value, against the transposed solve over the reference.
 
 
 class ReferenceSpanReducer:
@@ -420,6 +432,10 @@ class ReferenceSpanReducer:
         residue = self._reduce(row)
         if not residue:
             return False
+        self._place(residue)
+        return True
+
+    def _place(self, residue):
         pivot = min(residue)
         if residue[pivot] != ONE:
             inv = ONE / residue[pivot]
@@ -429,7 +445,6 @@ class ReferenceSpanReducer:
             if pivot in other:
                 self._clear(other, residue, pivot)
         self._rows[pivot] = residue
-        return True
 
     def reduce(self, vec):
         return self._reduce(dict(vec))
@@ -455,24 +470,22 @@ def reference_nullspace(matrix: ExactMatrix):
     return list(kernel.values())
 
 
-def reference_solve_columns(basis_columns, rhs_columns):
-    if not rhs_columns:
-        return []
-    ncols = len(basis_columns)
-    by_row = {}
-    for j, col in enumerate(list(basis_columns) + list(rhs_columns)):
-        for i, x in col.items():
-            by_row.setdefault(i, {})[j] = x
-    rows = ReferenceSpanReducer(by_row.values())._rows
-    outside = [row for pivot, row in rows.items() if pivot >= ncols]
-    inside = [(pivot, row) for pivot, row in rows.items() if pivot < ncols]
-    out = []
-    for col in range(ncols, ncols + len(rhs_columns)):
-        if any(col in row for row in outside):
-            out.append(None)
-        else:
-            out.append({pivot: row[col] for pivot, row in inside if col in row})
-    return out
+class ReferenceChart:
+    """Chart over ReferenceSpanReducer: row n tagged by ONE at _TAG + n, and
+    left out when it depends on the rows before it."""
+
+    def __init__(self, rows):
+        self._span = ReferenceSpanReducer()
+        for n, row in enumerate(rows):
+            residue = self._span._reduce({**row, _TAG + n: ONE})
+            if min(residue) < _TAG:
+                self._span._place(residue)
+
+    def coordinates(self, vec):
+        residue = self._span.reduce(vec)
+        if any(j < _TAG for j in residue):
+            return None
+        return {j - _TAG: -x for j, x in residue.items()}
 
 
 def ordered(rows):
@@ -536,7 +549,9 @@ def compare_engines(matrix: ExactMatrix, rng, extra_rows=()):
         {i: coeff() for i in rng.sample(range(matrix.nrows), min(matrix.nrows, 2))},
     ]
     solved = solve_columns(cols, rhs)
-    assert ordered(solved) == ordered(reference_solve_columns(cols, rhs))
+    chart = ReferenceChart(cols)
+    assert ordered(solved) == ordered([chart.coordinates(c) for c in rhs])
+    assert solved == transposed_solve(cols, rhs, ReferenceSpanReducer)
     for row in solved:
         if row is not None:
             assert_canonical(row)

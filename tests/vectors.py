@@ -2,11 +2,12 @@
 
 ``acalg.linalg`` takes and returns rows only (dicts of nonzero entries).
 Tests often state expected vectors densely, so these helpers convert on the
-test side and compare spans.
+test side and compare spans.  ``transposed_solve`` is the reference that
+coordinates read off ``linalg.Chart`` are compared with.
 """
 
 from acalg.linalg import ExactMatrix, SpanReducer
-from acalg.scalars import ZERO
+from acalg.scalars import ZERO, as_scalar
 
 
 def as_row(vec):
@@ -48,3 +49,27 @@ def same_span(first, second) -> bool:
     if a.rank != b.rank:
         return False
     return all(a.contains(v) for v in second) and all(b.contains(v) for v in first)
+
+
+def transposed_solve(basis_columns, rhs_columns, reducer=SpanReducer):
+    """Solve basis * x = rhs for every rhs column in one elimination of the
+    rows of [basis | rhs] by ``reducer``, the engine's or a reference's.
+
+    Row operations keep the relations between columns, so a right-hand side
+    is in the basis span exactly when no row pivoting outside the basis
+    touches it, and then its coordinates are its entries in the basis pivot
+    rows.  Basis columns that depend on earlier ones get coordinate zero.
+    """
+    ncols = len(basis_columns)
+    by_row = {}
+    for j, col in enumerate(list(basis_columns) + list(rhs_columns)):
+        for i, x in col.items():
+            by_row.setdefault(i, {})[j] = x
+    rows = reducer(by_row.values())._rows
+    outside = [row for pivot, row in rows.items() if pivot >= ncols]
+    inside = [(pivot, row) for pivot, row in rows.items() if pivot < ncols]
+    return [
+        None if any(col in row for row in outside)
+        else {pivot: as_scalar(row[col]) for pivot, row in inside if col in row}
+        for col in range(ncols, ncols + len(rhs_columns))
+    ]
