@@ -25,7 +25,8 @@ and every element of A is a unique Q(i)-combination of such monomials.
 An element keeps its terms as a row keyed by monomial, so every sum of
 elements, and the product, which sums the normal forms of the concatenated
 words, goes through the one sparse sum ``linalg.combine``.  Only the
-integer fold inside ``rewrite_word`` keeps its own loop.
+integer fold inside ``rewrite_word``, over per-letter step tables built on
+first use, keeps its own loop.
 
 The word subalgebra B is indexed here too, on the same codes: ``words``
 and ``word_columns`` give B's basis and all four generators' ad maps on it,
@@ -191,37 +192,13 @@ UNIT_MONOMIAL = NormalMonomial()
 
 # -- the rewrite engine ---------------------------------------------------------
 #
-# rewrite_word works on packed data.  A word is a bytes string with one ASCII
-# digit per letter: delbar "0", del "1", mubar "2", mu "3".  A normal monomial
-# is its code (see NormalMonomial): the int  head << 2 | tail index, where
-# head reads the head word as a binary number behind a leading 1 that marks
-# its length, int(b"1" + head digits, 2).
+# rewrite_word works on packed data.  A letter is its code: delbar 0, del 1,
+# mubar 2, mu 3, so the head letters are the codes below 2 and each is its
+# bit in a packed head.  A normal monomial is its code (see NormalMonomial):
+# the int head << 2 | tail index, where head reads the head word as a binary
+# number behind a leading 1 that marks its length.
 
 _CODE = {sym: n for n, sym in enumerate(HEAD_LETTERS + (MUBAR, MU))}
-_BYTE = {sym: ord(str(n)) for sym, n in _CODE.items()}
-_HEAD_BYTES = bytes(_BYTE[s] for s in HEAD_LETTERS)
-_TAIL_BYTES = {bytes(_BYTE[s] for s in tail): n for n, tail in enumerate(TAILS)}
-
-
-# A word with no redex is a run of head letters followed by a tail.
-def _normal_prefix(word: bytes) -> tuple[int, int]:
-    """The packed longest normal prefix of a packed word, and its length."""
-    rest = word.lstrip(_HEAD_BYTES)
-    tail = rest[:2]
-    while tail not in _TAIL_BYTES:
-        tail = tail[:-1]
-    run = len(word) - len(rest)
-    return int(b"1" + word[:run], 2) << 2 | _TAIL_BYTES[tail], run + len(tail)
-
-
-def _normal_suffix(word: bytes) -> tuple[int, int]:
-    """The packed longest normal suffix of a packed word, and where it starts."""
-    tail = word[-2:]
-    while tail not in _TAIL_BYTES:
-        tail = tail[1:]
-    body = word[: len(word) - len(tail)]
-    start = len(body.rstrip(_HEAD_BYTES))
-    return int(b"1" + body[start:], 2) << 2 | _TAIL_BYTES[tail], start
 
 
 def _reduce(word: Word) -> dict[Word, int]:
@@ -262,16 +239,14 @@ def _endings(y: str, h: str) -> tuple[tuple[int, int, int], ...]:
 # part in a rewrite and the normal form of head.w is head.(normal form of w).
 assert not any(first in HEAD_LETTERS for first, _ in REWRITE_RULES)
 
-#: APPEND[x][tail index]: tail.x in normal form, as _extensions triples
-APPEND = {_BYTE[x]: tuple(_extensions(tail + (x,)) for tail in TAILS) for x in _CODE}
+#: APPEND[x][tail index]: tail.x in normal form, as _extensions triples,
+#: indexed by the code x of each letter
+APPEND = tuple(tuple(_extensions(tail + (x,)) for tail in TAILS) for x in _CODE)
 #: TAILPRE[y][tail index]: y.tail in normal form, for y = mubar, mu
-TAILPRE = {_BYTE[y]: tuple(_extensions((y,) + tail) for tail in TAILS) for y in (MUBAR, MU)}
+TAILPRE = {_CODE[y]: tuple(_extensions((y,) + tail) for tail in TAILS) for y in (MUBAR, MU)}
 #: PASS[y][h]: the ending branches y.h leaves when y passes the head letter
 #: h (0 delbar, 1 del), as _endings triples
-PASS = {_BYTE[y]: tuple(_endings(y, h) for h in HEAD_LETTERS) for y in (MUBAR, MU)}
-#: the increment that prepends a head letter to a packed monomial m, once
-#: shifted left by m.bit_length() - 1 (the position of its leading 1)
-_PREPEND = {_BYTE[h]: 1 + _CODE[h] for h in HEAD_LETTERS}
+PASS = {_CODE[y]: tuple(_endings(y, h) for h in HEAD_LETTERS) for y in (MUBAR, MU)}
 
 _MONO_CACHE_SIZE = 1 << 16
 _MONO_CACHE: dict[int, NormalMonomial] = {}
@@ -290,15 +265,10 @@ def _monomial(packed: int) -> NormalMonomial:
     return mono
 
 
-_PASSES_SIZE = 1 << 12
-#: _PASSES[y][head]: _passes(y, head), filled by _passing for rewrite_word
-_PASSES: dict[int, dict[int, tuple[tuple[int, int], ...]]] = {y: {} for y in PASS}
-
-
 def _passes(y: int, head: int) -> tuple[tuple[int, int], ...]:
     """The ending branches y leaves as it passes the packed head ``head``,
     as (coeff, packed monomial with tail index 0): y.head is
-    (-1)^len(head) head.y plus these.  Pure; ``_passing`` caches it."""
+    (-1)^len(head) head.y plus these."""
     out = []
     sign = 1
     # bit j of head is the head letter with j letters to its right
@@ -310,12 +280,62 @@ def _passes(y: int, head: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _passing(y: int, head: int) -> tuple[tuple[int, int], ...]:
-    cache = _PASSES[y]
-    if len(cache) >= _PASSES_SIZE:
-        cache.clear()
-    cache[head] = out = _passes(y, head)
-    return out
+def _appended(x: int, mono: int) -> tuple[tuple[int, int], ...]:
+    """Leftmost's step, mono.x as (coeff, packed) pairs: head times the
+    normal form of tail.x (APPEND)."""
+    head = mono >> 2
+    return tuple((c, head << shift | add) for c, shift, add in APPEND[x][mono & 3])
+
+
+def _prepended(x: int, mono: int) -> tuple[tuple[int, int], ...]:
+    """Rightmost's step, x.mono as (coeff, packed) pairs: a head letter is
+    prepended; mubar or mu passes the head, flipping the sign at each letter
+    and leaving the ending branches of ``_passes``, then meets the tail
+    (TAILPRE)."""
+    top = mono.bit_length() - 1  # the leading 1, len(head) + 2 bits up
+    if x < 2:
+        return ((1, mono + (1 + x << top)),)
+    head, tail = mono >> 2, mono & 3
+    sign = -1 if top % 2 else 1
+    passed = tuple((c, ended | tail) for c, ended in _passes(x, head))
+    return passed + tuple((sign * c, head << shift | add) for c, shift, add in TAILPRE[x][tail])
+
+
+def _head_run(codes: list[int]) -> int:
+    """The packed head of a word's leading run of delbar and del, which has
+    head.bit_length() - 1 letters."""
+    head = 1
+    for x in codes:
+        if x > 1:
+            break
+        head = head << 1 | x
+    return head
+
+
+_STEPS_SIZE = 1 << 12
+
+
+class _Steps(dict):
+    """One strategy's steps for one letter, keyed by monomial code: each is
+    built by ``build(letter, mono)`` on first use, and all are cleared once
+    ``_STEPS_SIZE`` are held."""
+
+    __slots__ = ("build", "letter")
+
+    def __init__(self, build, letter: int):
+        self.build, self.letter = build, letter
+
+    def __missing__(self, mono: int) -> tuple[tuple[int, int], ...]:
+        if len(self) >= _STEPS_SIZE:
+            self.clear()
+        self[mono] = out = self.build(self.letter, mono)
+        return out
+
+
+#: each strategy's steps, indexed by letter code.  They read disjoint
+#: tables, so the two strategies stay independent computations.
+LEFTMOST_STEPS = tuple(_Steps(_appended, x) for x in range(4))
+RIGHTMOST_STEPS = tuple(_Steps(_prepended, x) for x in range(4))
 
 
 # B_k has 2^k words: far fewer than 32 degrees can ever be built
@@ -341,11 +361,11 @@ def word_columns(sym: str, k: int) -> list[dict[int, Scalar]]:
     the two coincide once, at n = 0 (delbar) or n = 2^k - 1 (del).
     mubar and mu: g*b_n = (-1)^k b_n*g plus the ending branches g leaves as
     it passes b_n's letters, read off ``_passes`` directly, so B's 2^k
-    heads never fill ``_PASSES``.
+    heads never fill the rewrite steps.
     """
     size = 1 << k
     if sym in (MUBAR, MU):
-        y, top = _BYTE[sym], size << 1
+        y, top = _CODE[sym], size << 1
         return [
             {(packed >> 2) - top: _INT_SCALARS[c] for c, packed in _passes(y, size | n)}
             for n in range(size)
@@ -361,14 +381,12 @@ _INT_SCALARS = {n: ONE if n == 1 else Scalar(n) for n in range(-16, 17) if n}
 
 
 def _element(state: dict[int, int]) -> "AlgebraElement":
-    terms = {}
-    for packed, coeff in state.items():
-        if coeff:
-            scalar = _INT_SCALARS.get(coeff)
-            terms[_MONO_CACHE.get(packed) or _monomial(packed)] = (
-                Scalar(coeff) if scalar is None else scalar
-            )
-    return AlgebraElement._of_nonzero(terms)
+    return AlgebraElement._of_nonzero({
+        _MONO_CACHE.get(packed) or _monomial(packed):
+            _INT_SCALARS[coeff] if coeff in _INT_SCALARS else Scalar(coeff)
+        for packed, coeff in state.items()
+        if coeff
+    })
 
 
 def rewrite_word(letters: Iterable[str], strategy: str = "leftmost") -> "AlgebraElement":
@@ -377,69 +395,41 @@ def rewrite_word(letters: Iterable[str], strategy: str = "leftmost") -> "Algebra
     The result is independent of ``strategy``; both orders are exposed so the
     confluence of the rule system can be tested rather than assumed.
 
-    No rule starts with delbar or del, so the head of a normal monomial never
-    takes part in a rewrite, and the normal form of head.w is head times the
-    normal form of w.  Each strategy therefore settles one letter at a time
-    and keeps the normal form of what it has read, merging equal monomials
-    as it goes:
+    Each is one fold over the letters that keeps the normal form of what it
+    has read, a dict from monomial code to integer coefficient, and for each
+    letter x replaces each monomial m by its step, read from that strategy's
+    table for x (``_Steps``):
 
-    * leftmost starts from the word's longest normal prefix and appends the
-      letters after it: a monomial head.tail times x is head times the
-      normal form of tail.x (the table APPEND);
-    * rightmost starts from the longest normal suffix and prepends the
-      letters before it.  delbar and del are simply prepended.  mubar or mu
-      passes the head in one sweep: each head letter it passes flips the
-      sign and may leave an ending branch (mubar.del -> -del.mubar -
-      delbar.delbar) in its place (the table PASS); then it meets the tail
-      (the table TAILPRE).
-
-    The tables are derived from REWRITE_RULES at import.  A word with no
-    redex is its own normal form and costs one scan.
+    * leftmost appends, m.x.  No rule starts with delbar or del, so the
+      word's leading run of them is normal and the fold starts after it.
+    * rightmost prepends, x.m, reading the word backwards from 1.
 
     Raises ValueError for an unknown strategy or letter.
     """
-    if strategy not in ("leftmost", "rightmost"):
+    if strategy == "leftmost":
+        tables = LEFTMOST_STEPS
+    elif strategy == "rightmost":
+        tables = RIGHTMOST_STEPS
+    else:
         raise ValueError(f"unknown strategy: {strategy!r}")
-    try:
-        word = bytes(map(_BYTE.__getitem__, letters))
+    try:  # a list: freed tuples would pile up in CPython's per-length free lists
+        codes = list(map(_CODE.__getitem__, letters))
     except KeyError as exc:
         raise ValueError(f"unknown letter: {exc.args[0]!r}") from None
-    if strategy == "leftmost":
-        mono, end = _normal_prefix(word)
-        state = {mono: 1}
-        for x in word[end:]:
-            rows = APPEND[x]
-            folded: dict[int, int] = {}
-            for mono, coeff in state.items():
-                for c, shift, add in rows[mono & 3]:
-                    packed = mono >> 2 << shift | add
-                    folded[packed] = folded.get(packed, 0) + c * coeff
-            state = folded
-        return _element(state)
-    mono, start = _normal_suffix(word)
-    state = {mono: 1}
-    for y in reversed(word[:start]):
-        step = _PREPEND.get(y)
-        if step is not None:
-            state = {
-                mono + (step << mono.bit_length() - 1): coeff
-                for mono, coeff in state.items()
-            }
-            continue
-        passes, tails = _PASSES[y], TAILPRE[y]
-        folded = {}
+    if tables is LEFTMOST_STEPS:
+        head = _head_run(codes)
+        state = {head << 2: 1}
+        codes = codes[head.bit_length() - 1 :]
+    else:
+        state = {UNIT_MONOMIAL.packed: 1}
+        codes = reversed(codes)
+    for x in codes:
+        steps = tables[x]
+        folded: dict[int, int] = {}
         for mono, coeff in state.items():
-            head, tail = mono >> 2, mono & 3
-            passed = passes.get(head)
-            if passed is None:
-                passed = _passing(y, head)
-            for c, ended in passed:
-                packed = ended | tail
-                folded[packed] = folded.get(packed, 0) + c * coeff
-            if head.bit_length() % 2 == 0:  # an odd number of head letters
-                coeff = -coeff
-            for c, shift, add in tails[tail]:
-                packed = head << shift | add
+            if not coeff:  # cancelled: its branches would all be 0
+                continue
+            for c, packed in steps[mono]:
                 folded[packed] = folded.get(packed, 0) + c * coeff
         state = folded
     return _element(state)
@@ -652,11 +642,14 @@ def product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def graded_commutator(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """[a, b] = a*b - (-1)^(|a||b|) b*a for homogeneous a, b."""
+    """[a, b] = a*b - (-1)^(|a||b|) b*a for homogeneous a, b; [a, a], with
+    the same object twice, takes one product: 2 a*a for odd a, 0 for even."""
     da = a.degree()
     db = b.degree()
     if da is None or db is None:
         return _ZERO_ELEMENT
+    if a is b:
+        return product(a, a).scale(2) if da % 2 else _ZERO_ELEMENT
     if (da * db) % 2 == 0:
         return product(a, b) - product(b, a)
     return product(a, b) + product(b, a)

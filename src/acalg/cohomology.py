@@ -180,11 +180,20 @@ def get_carrier(which) -> Carrier:
 
 @dataclass(frozen=True)
 class GradedMap:
-    """A linear map between graded pieces, in their deterministic bases."""
+    """A linear map from a carrier's degree ``degree`` to the next, in their
+    deterministic bases, which are read off the carrier when asked for."""
 
-    source_basis: tuple[AlgebraElement, ...]
-    target_basis: tuple[AlgebraElement, ...]
+    carrier: Carrier
+    degree: int
     matrix: ExactMatrix
+
+    @property
+    def source_basis(self) -> tuple[AlgebraElement, ...]:
+        return self.carrier.basis(self.degree)
+
+    @property
+    def target_basis(self) -> tuple[AlgebraElement, ...]:
+        return self.carrier.basis(self.degree + 1)
 
 
 def _as_degree_one(a) -> AlgebraElement:
@@ -235,10 +244,8 @@ def ad_matrix(a, k: int, carrier="g") -> GradedMap:
     """Matrix of x -> [a, x] from carrier degree k to degree k + 1."""
     carrier = get_carrier(carrier)
     value = _as_degree_one(a)
-    source = carrier.basis(k)
-    target = carrier.basis(k + 1)
-    matrix = ExactMatrix.from_columns(_ad_columns(value, k, carrier), nrows=len(target))
-    return GradedMap(tuple(source), tuple(target), matrix)
+    matrix = ExactMatrix.from_columns(_ad_columns(value, k, carrier), nrows=carrier.dim(k + 1))
+    return GradedMap(carrier, k, matrix)
 
 
 @dataclass

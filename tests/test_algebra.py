@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import random
 from fractions import Fraction
@@ -5,17 +7,20 @@ from heapq import heappop, heappush
 
 import pytest
 
+import acalg.algebra as algebra
 from acalg.algebra import (
     APPEND,
     DEL,
     DELBAR,
     GENERATORS,
     HEAD_LETTERS,
+    LEFTMOST_STEPS,
     MU,
     MUBAR,
     PASS,
     RELATIONS,
     REWRITE_RULES,
+    RIGHTMOST_STEPS,
     TAILPRE,
     TAILS,
     AlgebraElement,
@@ -31,11 +36,9 @@ from acalg.algebra import (
     rewrite_word,
     row_in_A,
     word_bidegree,
-    _BYTE,
     _MONO_CACHE,
+    _head_run,
     _monomial,
-    _normal_prefix,
-    _normal_suffix,
 )
 from acalg.errors import InvalidDegree, NonHomogeneousOperand, NotInSubalgebra
 from acalg.scalars import GaussianRational, ONE, Scalar
@@ -344,43 +347,95 @@ def test_fold_tables_equal_reference_rewrites():
     # an entry (c, shift, add) maps the monomial 1.tail to (1 << shift) | add
     for x in GENERATORS:
         for n, tail in enumerate(TAILS):
-            entries = APPEND[_BYTE[x]][n]
+            entries = APPEND[algebra._CODE[x]][n]
             got = _from_packed((c, 1 << shift | add) for c, shift, add in entries)
             assert got == reference_rewrite_word(tail + (x,)), (tail, x)
     for y in (MUBAR, MU):
         for n, tail in enumerate(TAILS):
-            entries = TAILPRE[_BYTE[y]][n]
+            entries = TAILPRE[algebra._CODE[y]][n]
             got = _from_packed((c, 1 << shift | add) for c, shift, add in entries)
             assert got == reference_rewrite_word((y,) + tail), (y, tail)
         for b, h in enumerate(HEAD_LETTERS):
-            endings = PASS[_BYTE[y]][b]
+            endings = PASS[algebra._CODE[y]][b]
             got = _from_packed(
                 (c, (1 << length | pair) << 2) for c, length, pair in endings
             ) - from_word(h, y)
             assert got == reference_rewrite_word((y, h)), (y, h)
 
 
-def test_normal_prefix_and_suffix_stop_at_the_first_and_last_redex():
+def test_leftmost_starts_after_the_leading_head_run():
+    # the run has no redex, and the normal form of run.rest is run times
+    # the normal form of rest, so leftmost's fold starts after the run
     for length in range(0, 6):
         for word in itertools.product(GENERATORS, repeat=length):
-            redexes = [n for n in range(length - 1) if word[n : n + 2] in REWRITE_RULES]
-            packed = bytes(_BYTE[s] for s in word)
-            mono, end = _normal_prefix(packed)
-            assert end == (redexes[0] + 1 if redexes else length), word
-            assert _monomial(mono) == NormalMonomial.from_letters(word[:end]), word
-            mono, start = _normal_suffix(packed)
-            assert start == (redexes[-1] + 1 if redexes else 0), word
-            assert _monomial(mono) == NormalMonomial.from_letters(word[start:]), word
+            head = _head_run([algebra._CODE[s] for s in word])
+            run = head.bit_length() - 1
+            assert all(s in HEAD_LETTERS for s in word[:run]), word
+            assert run == length or word[run] not in HEAD_LETTERS, word
+            assert _monomial(head << 2) == NormalMonomial(word[:run]), word
+            rest = reference_rewrite_word(word[run:])
+            assert reference_rewrite_word(word) == from_word(*word[:run]) * rest, word
+
+
+def test_step_tables_equal_reference_rewrites():
+    # every monomial of degree <= 6 times every letter, on either side
+    for x in GENERATORS:
+        left, right = LEFTMOST_STEPS[algebra._CODE[x]], RIGHTMOST_STEPS[algebra._CODE[x]]
+        for mono in (mono for k in range(7) for mono in basis_A(k)):
+            got = _from_packed(left[mono.packed])
+            assert got == reference_rewrite_word(mono.letters + (x,)), (mono, x)
+            got = _from_packed(right[mono.packed])
+            assert got == reference_rewrite_word((x,) + mono.letters), (x, mono)
+
+
+def _reads(function, seen=None):
+    """The module-level names ``function`` reads, with those of the algebra
+    functions it calls, transitively."""
+    seen = set() if seen is None else seen
+    for node in ast.walk(ast.parse(inspect.getsource(function))):
+        if isinstance(node, ast.Name) and node.id not in seen:
+            seen.add(node.id)
+            called = getattr(algebra, node.id, None)
+            if inspect.isfunction(called) and called.__module__ == algebra.__name__:
+                _reads(called, seen)
+    return seen
+
+
+def test_the_two_strategies_read_disjoint_tables():
+    # else the confluence check would compare one computation with itself;
+    # rightmost reads PASS only through _passes, so the reads follow calls
+    left = {table.build for table in LEFTMOST_STEPS}
+    right = {table.build for table in RIGHTMOST_STEPS}
+    assert len(left) == len(right) == 1 and left != right
+    left_reads, right_reads = _reads(left.pop()), _reads(right.pop())
+    assert "APPEND" in left_reads and not {"PASS", "TAILPRE"} & left_reads
+    assert {"PASS", "TAILPRE"} <= right_reads and "APPEND" not in right_reads
 
 
 @pytest.mark.parametrize(
     "word",
-    [("foo",), ("foo", MU, DEL), (MU, "foo", DEL), (MU, DEL, "foo"), (MU, "foo")],
+    [
+        ("foo",),
+        ("foo", MU, DEL),
+        (MU, "foo", DEL),
+        (MU, DEL, "foo"),
+        (MU, "foo"),
+        # the fold's state is 0 before (leftmost) or after (rightmost) "foo"
+        (MUBAR, MUBAR, "foo"),
+        ("foo", MU, MU),
+    ],
 )
 def test_rewrite_rejects_unknown_letters(word):
     for strategy in ("leftmost", "rightmost"):
         with pytest.raises(ValueError, match="unknown letter"):
             rewrite_word(word, strategy)
+
+
+def test_rewrite_reads_any_iterable_of_letters():
+    word = (MU, DEL, MUBAR, DELBAR, MU)
+    for strategy in ("leftmost", "rightmost"):
+        assert rewrite_word(iter(word), strategy) == rewrite_word(word, strategy)
+        assert rewrite_word((s for s in word), strategy) == rewrite_word(word, strategy)
 
 
 def test_rewrite_rejects_unknown_strategy():
@@ -472,6 +527,28 @@ def test_commutator_requires_homogeneous():
         graded_commutator(mixed, gen(DEL))
     with pytest.raises(NonHomogeneousOperand):
         graded_commutator(gen(DEL), mixed)
+
+
+def test_a_commutator_of_an_element_with_itself_takes_one_product(monkeypatch):
+    rng = random.Random(4242)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(algebra, "product", counted)
+    for degree in (1, 2, 3):
+        for _ in range(6):
+            a = _random_homogeneous(rng, degree)
+            sign = (-1) ** (degree * degree)
+            want = product(a, a) - product(a, a).scale(sign)
+            calls.clear()
+            assert graded_commutator(a, a) == want, (degree, a)
+            assert calls == ([(a, a)] if degree % 2 and not a.is_zero() else [])
+    mixed = gen(MUBAR) + from_word(DEL, DEL)
+    with pytest.raises(NonHomogeneousOperand):
+        graded_commutator(mixed, mixed)
 
 
 def _random_homogeneous(rng, degree):

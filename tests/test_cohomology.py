@@ -99,6 +99,17 @@ def test_ad_matrix_shapes_and_bases():
     assert len(gm.target_basis) == 16
 
 
+def test_ad_matrix_builds_no_basis_until_one_is_read():
+    # les_check(10)'s map out of B_10 needs only dim B_11, not its words
+    words.cache_clear()
+    gm = ad_matrix(lie_generator(MUBAR), 10, "B")
+    assert gm.matrix.shape == (2048, 1024)
+    assert words.cache_info().currsize == 0
+    carrier = get_carrier("B")
+    assert len(gm.target_basis) == carrier.dim(11)
+    assert gm.target_basis == words(11) and gm.source_basis == words(10)
+
+
 def test_ad_squares_to_zero_at_matrix_level():
     diffs = [d_lie(), lie_generator(MUBAR), lie_generator(MU), d_st(2, 1), d_st(1, 3)]
     for a in diffs:
@@ -533,14 +544,15 @@ def test_les_check_with_cold_ad_maps_calls_no_product(monkeypatch):
     calls = count_calls(monkeypatch, product, algebra.rewrite_word)
     assert les_check(6).passed
     assert calls == []
-    # nor do they touch the rewrite engine's bounded cache of passes, which
+    # nor do they touch the rewrite engine's bounded step tables, which
     # B_12's 4096 heads would fill and clear
-    passes = {y: dict(cache) for y, cache in algebra._PASSES.items()}
+    tables = algebra.LEFTMOST_STEPS + algebra.RIGHTMOST_STEPS
+    steps = [dict(table) for table in tables]
     carrier = get_carrier("B")
     for k in range(0, 13):
         for sym in GENERATORS:
             _generator_columns(sym, k, carrier)
-    assert algebra._PASSES == passes
+    assert [dict(table) for table in tables] == steps
 
 
 def reference_cone_failures(k_max, ad_mubar):

@@ -103,7 +103,7 @@ def test_the_check_tells_unreferenced_definitions(source, unreferenced):
 
 # the packed code of a normal monomial is its attribute ``packed``; these
 # are the helpers and tables that build and read it
-_PACKED_HELPERS = {"_monomial", "_passes", "_BYTE"}
+_PACKED_HELPERS = {"_monomial", "_passes", "_CODE"}
 
 
 def _packed_code_reads(tree):
@@ -137,7 +137,7 @@ def test_only_algebra_reads_the_packed_code():
     [
         ("row = mono.packed", [(1, "packed")]),
         ("from .algebra import _monomial, words", [(1, "_monomial")]),
-        ("x = _passes(y, head)\nz = _BYTE['mu']", [(1, "_passes"), (2, "_BYTE")]),
+        ("x = _passes(y, head)\nz = _CODE['mu']", [(1, "_passes"), (2, "_CODE")]),
         ("packed = 1\nwords(packed)", []),
         ("import acalg.algebra as a\na._monomial(4)", [(2, "_monomial")]),
     ],
