@@ -86,17 +86,19 @@ RELATIONS: tuple[tuple[str, tuple[tuple[int, tuple[str, str]], ...]], ...] = (
     ),
 )
 
-# Each relation above, solved for its reducible two-letter word.  A word is
-# in normal form exactly when none of these patterns occurs.
-REWRITE_RULES: dict[tuple[str, str], tuple[tuple[int, tuple[str, ...]], ...]] = {
-    (MUBAR, MUBAR): (),
-    (MU, MU): (),
-    (MUBAR, DELBAR): ((-1, (DELBAR, MUBAR)),),
-    (MU, DEL): ((-1, (DEL, MU)),),
-    (MUBAR, DEL): ((-1, (DEL, MUBAR)), (-1, (DELBAR, DELBAR))),
-    (MU, DELBAR): ((-1, (DELBAR, MU)), (-1, (DEL, DEL))),
-    (MU, MUBAR): ((-1, (MUBAR, MU)), (-1, (DELBAR, DEL)), (-1, (DEL, DELBAR))),
-}
+
+def _solved(terms):
+    """A relation solved for its redex, its one word that is not normal (a
+    normal word starts with delbar or del, or is a tail): the other terms
+    negated.  A redex has coefficient 1, or 2 and stands alone."""
+    (redex,) = (w for _, w in terms if not (w[0] in HEAD_LETTERS or w in TAILS))
+    return redex, tuple((-c, w) for c, w in terms if w != redex)
+
+
+# A word is in normal form exactly when none of these patterns occurs.
+REWRITE_RULES: dict[tuple[str, str], tuple[tuple[int, tuple[str, ...]], ...]] = dict(
+    _solved(terms) for _, terms in RELATIONS
+)
 
 Word = tuple[str, ...]
 

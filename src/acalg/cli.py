@@ -2,7 +2,7 @@
 
 Subcommands wrap the engine:
 
-    dims          dimension table for a carrier (A, g or B)
+    dims          dimension table for a carrier (A, g, h or B)
     normal-form   normal form of an expression
     bracket       graded commutator of two expressions
     cohomology    cohomology table for a differential on a carrier
@@ -36,7 +36,7 @@ from .algebra import dim_A, graded_commutator
 from .cohomology import cohomology, get_carrier
 from .errors import EngineError, ExprSyntaxError
 from .exprs import parse_element, render
-from .lie import d_lie, dim_g, lie_generator
+from .lie import d_lie, dim_g, dim_h, lie_generator
 from .mc import (
     d_st,
     g1_coordinates,
@@ -57,6 +57,10 @@ from .reps import (
 from .scalars import _frac_text, scalar_from_text
 
 DEFAULT_CAP = 12
+
+#: each dims carrier's dimension and first degree: A's and B's are closed
+#: forms, and g's and h's the sizes of their Lie bases
+_DIMS = {"A": (dim_A, 0), "g": (dim_g, 1), "h": (dim_h, 1), "B": (get_carrier("B").dim, 0)}
 
 
 class UsageError(Exception):
@@ -96,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table of a carrier")
     p.add_argument("--max", type=int, required=True)
-    p.add_argument("--carrier", choices=("A", "g", "B"), default="A")
+    p.add_argument("--carrier", choices=tuple(_DIMS), default="A")
 
     p = sub.add_parser("normal-form", help="normal form of an expression")
     p.add_argument("expr")
@@ -209,13 +213,8 @@ def _differential(spec: list[str]):
 
 def _cmd_dims(args):
     _check_cap(args.max, args.max_degree)
-    if args.carrier == "A":
-        dims = {k: dim_A(k) for k in range(args.max + 1)}
-    elif args.carrier == "g":
-        dims = {k: dim_g(k) for k in range(1, args.max + 1)}
-    else:
-        carrier = get_carrier("B")
-        dims = {k: carrier.dim(k) for k in range(args.max + 1)}
+    dim, first_degree = _DIMS[args.carrier]
+    dims = {k: dim(k) for k in range(first_degree, args.max + 1)}
     # the JSON and text writers cannot write a number that _frac_text refuses
     _frac_text(max(dims.values(), default=0))
     payload = {

@@ -13,9 +13,11 @@ degree-wise dimension together with deterministic representatives: the
 earliest kernel vectors, in the kernel's reduced-echelon enumeration, that
 complete the image to the kernel.
 
-Each degree keeps one span, the echelon form of its image.  A kernel vector
-is a representative when its residue modulo that span is independent of
-the earlier representatives' residues; a vector's class is its residue
+Each degree keeps one record of coordinates and one span, the echelon form
+of its image; the kernel is not kept, and no element is formed until
+``cohomology`` returns its representatives.  A kernel vector is a
+representative when its residue modulo that span is independent of the
+earlier representatives' residues; a vector's class is its residue
 solved against the representatives' residues; and an induced map checks
 that the image lands in the target's image span.  An induced map takes the
 map it is induced from as columns: the image of each source basis vector,
@@ -91,7 +93,7 @@ from .algebra import (
 from .errors import InvalidDegree, NotADifferential, NotInSubalgebra, NotWellDefined
 from .lie import LieElement, _g_basis, _graded_basis
 from .linalg import ExactMatrix, Row, SpanReducer, combine, solve_columns
-from .scalars import ONE, Scalar
+from .scalars import ONE
 
 
 class Carrier:
@@ -253,21 +255,24 @@ class CohomologyData:
     """Everything about H^k(carrier, ad_a) needed to build induced maps.
 
     Vectors are rows of coordinates in ``carrier.basis(degree)``: the
-    kernel's reduced-echelon basis as ``nullspace`` returns it, the image as
-    the columns of the incoming ad map, and the representatives.
-    ``image_span`` is the image's echelon form, the one span kept per
-    degree, and ``residues`` are the representatives' residues modulo it.
+    representatives, as the earliest vectors of the kernel's reduced-echelon
+    basis that complete the image, and the image as the columns of the
+    incoming ad map.  ``image_span`` is the image's echelon form, the one
+    span kept per degree, and ``residues`` are the representatives'
+    residues modulo it.  The record holds no element: ``cohomology`` forms
+    the representatives from ``rep_coords`` when it returns them.
     """
 
     degree: int
-    dim: int
-    representatives: tuple[AlgebraElement, ...]
+    carrier: Carrier
     rep_coords: list[Row]
-    kernel: list[Row]
     image: list[Row]
     image_span: SpanReducer
     residues: list[Row]
-    carrier: Carrier
+
+    @property
+    def dim(self) -> int:
+        return len(self.rep_coords)
 
     def classes(self, vectors: Sequence[Row]) -> list[Row | None]:
         """Express kernel vectors as rep-combinations modulo the image, all
@@ -301,7 +306,6 @@ def cohomology_data(a, k: int, carrier="g") -> CohomologyData:
 # each `cohomology --diff ... --max k` request at most k + 1
 @lru_cache(maxsize=1024)
 def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> CohomologyData:
-    kernel = ad_matrix(value, k, carrier).matrix.nullspace()
     image = _ad_columns(value, k - 1, carrier)
     image_span = SpanReducer(image)
     # a kernel vector is a representative when its residue modulo the image
@@ -309,22 +313,12 @@ def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> 
     accepted = SpanReducer()
     rep_coords: list[Row] = []
     residues: list[Row] = []
-    for vec in kernel:
+    for vec in ad_matrix(value, k, carrier).matrix.nullspace():
         residue = image_span.reduce(vec)
         if accepted.add(residue):
             rep_coords.append(vec)
             residues.append(residue)
-    return CohomologyData(
-        degree=k,
-        dim=len(rep_coords),
-        representatives=tuple(carrier.element(vec, k) for vec in rep_coords),
-        rep_coords=rep_coords,
-        kernel=kernel,
-        image=image,
-        image_span=image_span,
-        residues=residues,
-        carrier=carrier,
-    )
+    return CohomologyData(k, carrier, rep_coords, image, image_span, residues)
 
 
 def _certified_zero(value: AlgebraElement, k: int, carrier: Carrier) -> bool:
@@ -342,6 +336,14 @@ def _certified_zero(value: AlgebraElement, k: int, carrier: Carrier) -> bool:
     )
 
 
+def _rep_coords(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
+    """The rows of H^k(carrier, ad_value)'s representatives: none where the
+    weight bound certifies H^k = 0, and the direct path's elsewhere."""
+    if _certified_zero(value, k, carrier):
+        return []
+    return _cohomology_data_cached(value, k, carrier).rep_coords
+
+
 def cohomology(a, k: int, carrier="g") -> tuple[int, tuple[AlgebraElement, ...]]:
     """Dimension and representative basis of H^k(carrier, ad_a).
 
@@ -353,18 +355,18 @@ def cohomology(a, k: int, carrier="g") -> tuple[int, tuple[AlgebraElement, ...]]
     carrier = get_carrier(carrier)
     value = _as_degree_one(a)
     _check_differential(value)
-    if _certified_zero(value, k, carrier):
-        return 0, ()
-    data = _cohomology_data_cached(value, k, carrier)
-    return data.dim, data.representatives
+    rep_coords = _rep_coords(value, k, carrier)
+    return len(rep_coords), tuple(carrier.element(vec, k) for vec in rep_coords)
 
 
 def cohomology_dims(a, k_max: int, carrier="g") -> dict[int, int]:
     """dim H^k(carrier, ad_a) for each degree up to ``k_max``, with the
     zeros the weight bound certifies on g, h and B (McCleary, 2001, ch. 2)
-    read as ``cohomology`` reads them."""
+    read as ``cohomology`` reads them, and no representative formed."""
     carrier = get_carrier(carrier)
-    return {k: cohomology(a, k, carrier)[0] for k in range(carrier.first_degree, k_max + 1)}
+    value = _as_degree_one(a)
+    _check_differential(value)
+    return {k: len(_rep_coords(value, k, carrier)) for k in range(carrier.first_degree, k_max + 1)}
 
 
 def _image(columns: Sequence[Row], vec: Row) -> Row:
@@ -431,24 +433,20 @@ def frolicher_E1(carrier, k_max: int) -> dict[int, int]:
 def split_B(k: int, b: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
     """The inverse of (x, y) -> del*x + delbar*y on B_k, k >= 1.
 
-    Strips the leading letter of each monomial and groups by it.
+    Read off the word index (see ``algebra.words``): del*x + delbar*y has
+    row y + 2^(k-1) x in B_k, so the row is cut at 2^(k-1).
     """
     if k < 1:
         raise InvalidDegree("split_B needs degree >= 1")
-    restrict_to_B(b)
-    x_terms: list[tuple[NormalMonomial, Scalar]] = []
-    y_terms: list[tuple[NormalMonomial, Scalar]] = []
-    for mono, coeff in b._terms.items():
-        if mono.degree != k:
-            raise InvalidDegree(f"degree {mono.degree} term in split_B({k}): {mono}")
-        rest = NormalMonomial(mono.head[1:])
-        if mono.head[0] == DELBAR:
-            y_terms.append((rest, coeff))
-        else:
-            x_terms.append((rest, coeff))
+    try:
+        row = row_in_A(restrict_to_B(b), k)
+    except KeyError as exc:
+        mono = exc.args[0]
+        raise InvalidDegree(f"degree {mono.degree} term in split_B({k}): {mono}") from None
+    half, carrier = 1 << k - 1, CARRIERS["B"]
     return (
-        AlgebraElement.from_terms(x_terms),
-        AlgebraElement.from_terms(y_terms),
+        carrier.element({n - half: c for n, c in row.items() if n >= half}, k - 1),
+        carrier.element({n: c for n, c in row.items() if n < half}, k - 1),
     )
 
 

@@ -327,6 +327,19 @@ def _from_packed(pairs):
     return AlgebraElement.from_terms((_monomial(packed), c) for c, packed in pairs)
 
 
+def test_rewrite_rules_are_the_relations_solved():
+    # each relation solved by hand for its redex, in the relations' order
+    assert list(REWRITE_RULES.items()) == [
+        ((MUBAR, MUBAR), ()),
+        ((MU, MU), ()),
+        ((MUBAR, DELBAR), ((-1, (DELBAR, MUBAR)),)),
+        ((MU, DEL), ((-1, (DEL, MU)),)),
+        ((MUBAR, DEL), ((-1, (DEL, MUBAR)), (-1, (DELBAR, DELBAR)))),
+        ((MU, DELBAR), ((-1, (DELBAR, MU)), (-1, (DEL, DEL)))),
+        ((MU, MUBAR), ((-1, (MUBAR, MU)), (-1, (DELBAR, DEL)), (-1, (DEL, DELBAR)))),
+    ]
+
+
 def test_no_rule_starts_with_a_head_letter():
     # so a head never takes part in a rewrite
     assert not [redex for redex in REWRITE_RULES if redex[0] in HEAD_LETTERS]

@@ -6,7 +6,7 @@ from acalg import cli
 from acalg.cli import main
 from acalg.exprs import parse_element
 from acalg.mc import g1_coordinates, g1_element
-from acalg.lie import d_lie
+from acalg.lie import d_lie, dim_h
 from vectors import same_span
 
 
@@ -31,6 +31,16 @@ def test_dims_g_and_B(capsys):
     assert [row["dim"] for row in table] == [4, 3, 2, 3]
     code, out = run(capsys, "--format", "json", "dims", "--max", "4", "--carrier", "B")
     assert [row["dim"] for row in json.loads(out)["dims"]] == [1, 2, 4, 8, 16]
+
+
+def test_dims_h(capsys):
+    code, out = run(capsys, "--format", "json", "dims", "--max", "6", "--carrier", "h")
+    assert code == 0
+    table = json.loads(out)
+    assert table["carrier"] == "h"
+    assert [(row["degree"], row["dim"]) for row in table["dims"]] == [
+        (k, dim_h(k)) for k in range(1, 7)
+    ]
 
 
 def test_normal_form_command(capsys):

@@ -57,6 +57,12 @@ def from_word(*letters):
     return AlgebraElement.from_word(letters)
 
 
+def kernel_of(a, k, carrier):
+    """The reduced-echelon kernel basis of ad_a out of degree k, as
+    ``cohomology_data`` chooses its representatives from it."""
+    return ad_matrix(a, k, carrier).matrix.nullspace()
+
+
 def columns_of(raw_map, source, target):
     """The columns of the linear map ``raw_map`` on elements, from the
     source's degree of its carrier to the target's."""
@@ -250,18 +256,19 @@ def test_h_subalgebra_representatives():
     mubar = lie_generator(MUBAR)
     data1 = cohomology_data(mubar, 1, "h")
     delbar_coords = data1.carrier.coordinates([gen(DELBAR)], 1)[0]
-    kernel = SpanReducer(data1.kernel)
+    kernel = SpanReducer(kernel_of(mubar, 1, "h"))
     assert kernel.contains(delbar_coords)
     assert not SpanReducer(data1.image).contains(delbar_coords)
 
     data2 = cohomology_data(mubar, 2, "h")
     named = graded_commutator(gen(DEL), gen(DELBAR))
     named_coords = data2.carrier.coordinates([named], 2)[0]
-    assert SpanReducer(data2.kernel).contains(named_coords)
+    kernel2 = kernel_of(mubar, 2, "h")
+    assert SpanReducer(kernel2).contains(named_coords)
     assert not SpanReducer(data2.image).contains(named_coords)
     # image together with the named class fills the kernel
     completed = SpanReducer(data2.image + [named_coords])
-    assert all(completed.contains(v) for v in data2.kernel)
+    assert all(completed.contains(v) for v in kernel2)
 
 
 def test_B_table_is_one_in_every_degree():
@@ -308,7 +315,7 @@ def test_d_cohomology_table():
 def test_d_cohomology_representative_span():
     data = cohomology_data(d_lie(), 1, "g")
     named = [g1_coordinates(d_lie()), g1_coordinates(g1_element(3, 1, -1, -3))]
-    assert same_span(data.kernel, named)
+    assert same_span(kernel_of(d_lie(), 1, "g"), named)
     assert data.dim == 2
     # with nothing arriving from degree 0, the representatives span the kernel
     assert same_span(data.rep_coords, named)
@@ -342,7 +349,8 @@ def test_certified_zeros_match_the_direct_path(carrier, k_max):
         direct = [cohomology_data(a, k, carrier) for k in range(carrier.first_degree, k_max + 1)]
         assert cohomology_dims(a, k_max, carrier) == {d.degree: d.dim for d in direct}, str(a)
         for d in direct:
-            assert cohomology(a, d.degree, carrier) == (d.dim, d.representatives), (str(a), d.degree)
+            reps = tuple(carrier.element(vec, d.degree) for vec in d.rep_coords)
+            assert cohomology(a, d.degree, carrier) == (d.dim, reps), (str(a), d.degree)
 
 
 def has_entry(value, k, carrier):
@@ -692,7 +700,7 @@ def test_cohomology_ring_of_B():
 
     def class_of(elt, k):
         coords = carrier.coordinates([elt], k)[0]
-        assert SpanReducer(data[k].kernel).contains(coords), (str(elt), k)
+        assert SpanReducer(kernel_of(mubar, k, carrier)).contains(coords), (str(elt), k)
         return data[k].classes([coords])[0]
 
     for k in range(0, 9):
@@ -766,9 +774,10 @@ def test_E1_on_zero_carrier():
 @pytest.mark.parametrize("carrier, k", [("g", 0), ("h", 0), ("B", -1)])
 def test_empty_degree_has_empty_data(carrier, k):
     # frolicher_E1 reads the degree below each carrier's first one
-    data = cohomology_data(lie_generator(MUBAR), k, carrier)
-    assert (data.degree, data.dim, data.representatives) == (k, 0, ())
-    assert data.rep_coords == data.kernel == data.image == data.residues == []
+    mubar = lie_generator(MUBAR)
+    data = cohomology_data(mubar, k, carrier)
+    assert (data.degree, data.dim, cohomology(mubar, k, carrier)) == (k, 0, (0, ()))
+    assert data.rep_coords == kernel_of(mubar, k, carrier) == data.image == data.residues == []
 
 
 def test_get_carrier_rejects_unknown():
@@ -803,6 +812,22 @@ def test_B_names_its_terms_outside_B():
     assert info.value.offending == (NormalMonomial((), (MUBAR,)), NormalMonomial((), (MU,)))
 
 
+def test_dims_and_les_check_build_no_word_of_B():
+    # a record holds coordinates only, so the cone checks and a dims table
+    # read B's word index and never form its words
+    mubar = lie_generator(MUBAR)
+    for cache in (words, _generator_columns, _cohomology_data_cached):
+        cache.cache_clear()
+    assert les_check(6).passed
+    assert cohomology_dims(mubar, 6, "B") == {k: 1 for k in range(7)}
+    assert words.cache_info().currsize == 0
+    # and the representatives are still formed on request: [del, delbar]^3,
+    # the sum of the eight words made of delbar.del and del.delbar
+    blocks = itertools.product(((DELBAR, DEL), (DEL, DELBAR)), repeat=3)
+    cube = sum((from_word(*itertools.chain(*b)) for b in blocks), AlgebraElement.zero())
+    assert cohomology(mubar, 6, "B") == (1, (cube,))
+
+
 def test_cohomology_caches_are_bounded():
     for cache in (words, _generator_columns, _squares_to_zero):
         assert cache.cache_info().maxsize is not None
@@ -816,11 +841,11 @@ def test_cohomology_caches_are_bounded():
 # -- classes and induced maps ------------------------------------------------------
 
 
-def reference_rep_coords(data):
+def reference_rep_coords(data, kernel):
     """The representatives as they were chosen before residues were kept:
     the kernel vectors a reducer seeded with the image accepts, in order."""
     reducer = SpanReducer(data.image)
-    return [vec for vec in data.kernel if reducer.add(vec)]
+    return [vec for vec in kernel if reducer.add(vec)]
 
 
 def reference_classes(data, vectors):
@@ -852,30 +877,33 @@ def test_classes_match_the_reference(carrier, degrees):
         for k in degrees:
             where = (str(a.value), carrier.name, k)
             data = cohomology_data(a, k, carrier)
-            assert data.rep_coords == reference_rep_coords(data), where
+            matrix = ad_matrix(a, k, carrier).matrix
+            kernel = matrix.nullspace()
+            assert data.rep_coords == reference_rep_coords(data, kernel), where
             # a unit vector is off the kernel when its column of ad_a is nonzero
-            hit = {j for _, j, _ in ad_matrix(a, k, carrier).matrix.nonzero()}
+            hit = {j for _, j, _ in matrix.nonzero()}
             off_kernel = [{j: ONE} for j in sorted(hit)]
-            vectors = data.kernel + data.image + off_kernel
+            vectors = kernel + data.image + off_kernel
             got = data.classes(vectors)
             assert got == reference_classes(data, vectors), where
-            n = len(data.kernel)
+            n = len(kernel)
             assert got[n : n + len(data.image)] == [{}] * len(data.image), where
             assert got[n + len(data.image) :] == [None] * len(off_kernel), where
 
 
-def reference_induced_map(source, target, raw_map):
+def reference_induced_map(a, source, target, raw_map):
     """induced_map as it was before it mapped each family in one batch: every
     vector is mapped, converted and checked on its own, against spans built
-    afresh.  Kept as the reference the batched version must reproduce."""
-    kernel_span = SpanReducer(target.kernel)
+    afresh, for cohomology data of ad_a.  Kept as the reference the batched
+    version must reproduce."""
+    kernel_span = SpanReducer(kernel_of(a, target.degree, target.carrier))
     image_span = SpanReducer(target.image)
 
     def coordinates(vec):
         mapped = raw_map(source.carrier.element(vec, source.degree))
         return target.carrier.coordinates([mapped], target.degree)[0]
 
-    for vec in source.kernel:
+    for vec in kernel_of(a, source.degree, source.carrier):
         if not kernel_span.contains(coordinates(vec)):
             raise NotWellDefined(f"induced map does not preserve kernels at degree {source.degree}")
     for vec in source.image:
@@ -905,7 +933,7 @@ def test_induced_maps_match_the_per_vector_reference():
         raw = lambda x: graded_commutator(delbar, x)
         cases += [(pages[k], pages[k + 1], raw) for k in range(k_min - 1, 6)]
     for source, target, raw_map in cases:
-        want = reference_induced_map(source, target, raw_map)
+        want = reference_induced_map(mubar, source, target, raw_map)
         got = induced_map(source, target, columns_of(raw_map, source, target))
         assert got == want, (source.carrier.name, source.degree, target.degree)
 
@@ -933,7 +961,8 @@ def reference_E1(carrier, k_max):
     data = {k: cohomology_data(mubar, k, carrier) for k in range(k_min - 1, k_max + 2)}
     raw = lambda x: graded_commutator(gen(DELBAR), x)
     maps = {
-        k: reference_induced_map(data[k], data[k + 1], raw) for k in range(k_min - 1, k_max + 1)
+        k: reference_induced_map(mubar, data[k], data[k + 1], raw)
+        for k in range(k_min - 1, k_max + 1)
     }
     return {
         k: maps[k].ncols - maps[k].rank() - maps[k - 1].rank() for k in range(k_min, k_max + 1)
@@ -1029,13 +1058,9 @@ def test_induced_map_rejects_a_target_missing_images():
     source, target = cohomology_data(mubar, 3, "B"), cohomology_data(mubar, 4, "B")
     assert induced_map(source, target, columns_of(left_delbar, source, target)).shape == (1, 1)
     # the same kernel, but every kernel vector a representative: no image
+    kernel = kernel_of(mubar, 4, "B")
     no_image = replace(
-        target,
-        dim=len(target.kernel),
-        rep_coords=target.kernel,
-        image=[],
-        image_span=SpanReducer(),
-        residues=target.kernel,
+        target, rep_coords=kernel, image=[], image_span=SpanReducer(), residues=kernel
     )
     with pytest.raises(NotWellDefined, match="does not preserve images at degree 3"):
         induced_map(source, no_image, columns_of(left_delbar, source, no_image))
@@ -1047,7 +1072,7 @@ def test_induced_map_checks_kernels_before_images():
     data = cohomology_data(lie_generator(MUBAR), 2, "B")
     carrier = data.carrier
     assert data.image_span.contains({0: ONE}) and data.rep_coords == [{1: ONE, 2: ONE}]
-    assert not SpanReducer(data.kernel).contains({3: ONE})
+    assert not SpanReducer(kernel_of(lie_generator(MUBAR), 2, "B")).contains({3: ONE})
 
     def linear_map(columns):
         matrix = ExactMatrix.from_columns(columns, nrows=carrier.dim(2))
