@@ -33,7 +33,7 @@ import sys
 from functools import lru_cache
 
 from .algebra import dim_A, graded_commutator
-from .cohomology import cohomology, get_carrier
+from .cohomology import cohomology, cohomology_dims, get_carrier
 from .errors import EngineError, ExprSyntaxError
 from .exprs import parse_element, render
 from .lie import d_lie, dim_g, dim_h, lie_generator
@@ -238,20 +238,17 @@ def _cmd_cohomology(args):
     _check_cap(args.max, args.max_degree)
     diff, diff_name = _differential(args.diff)
     carrier = get_carrier(args.carrier)
-    rows = []
-    payload_rows = []
-    for k in range(carrier.first_degree, args.max + 1):
-        dim, representatives = cohomology(diff, k, carrier)
-        row = [k, dim]
-        entry = {"degree": k, "dim": dim}
-        if args.reps:
-            reps = [render(r) for r in representatives]
-            row.append("; ".join(reps))
+    dims = cohomology_dims(diff, args.max, carrier)
+    table = [{"degree": k, "dim": dim} for k, dim in dims.items()]
+    rows = [[k, dim] for k, dim in dims.items()]
+    if args.reps:
+        # only the representatives need `cohomology`, which forms them
+        for entry, row in zip(table, rows):
+            reps = [render(r) for r in cohomology(diff, entry["degree"], carrier)[1]]
             entry["representatives"] = reps
-        rows.append(row)
-        payload_rows.append(entry)
+            row.append("; ".join(reps))
     header = ["degree", "dim"] + (["representatives"] if args.reps else [])
-    payload = {"differential": diff_name, "carrier": args.carrier, "table": payload_rows}
+    payload = {"differential": diff_name, "carrier": args.carrier, "table": table}
     return payload, (header, rows)
 
 

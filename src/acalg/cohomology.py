@@ -42,19 +42,16 @@ dimension and the coordinates of a row of A_k.  g's and h's records are
 The generator maps and the cohomology data are cached by the carrier object
 itself, so the built-in carriers and any other ``Carrier`` take one path.
 
-``cohomology`` and ``cohomology_dims`` answer a degree that a weight bound
-certifies as zero with (0, no representatives), without building ad_a, its
-kernel or its image for that degree.  The weight 2p + q of bidegree (p, q)
-filters g, h and B; ad_mubar keeps it and ad_delbar, ad_del, ad_mu raise
-it by 1, 2, 3.  So for a = x mubar + ... with x != 0 the associated graded
-differential is x ad_mubar, and since the filtration is finite in each
-degree, dim H^k(ad_a) <= dim H^k(ad_mubar) (McCleary, *A User's Guide to
-Spectral Sequences*, 2001, ch. 2).  The mirror weight p + 2q gives
-dim H^k(ad_a) <= dim H^k(ad_mu) when w != 0.  The bound needs a basis of
-bihomogeneous elements that all four generators preserve, so it is read
-only on the built-in carriers g, h and B; any other carrier, and every
-degree the bound leaves open, takes the direct path.  ``cohomology_data``
-is always the direct path: induced maps and the cone checks read its rows.
+``cohomology``, ``cohomology_dims`` and ``cohomology_data`` resolve a
+request through one helper, ``_request``: the carrier is looked up, then a
+is checked to have degree 1, then [a, a] = 0.  ``cohomology`` and
+``cohomology_dims`` read each degree through ``_rep_coords``, the one
+reader of the weight bound: on g, h and B a degree the bound certifies as
+zero is answered with no representatives, without building ad_a, its
+kernel or its image for that degree; any other carrier, and every degree
+the bound leaves open, takes the direct path.  ``cohomology_dims`` forms
+no element.  ``cohomology_data`` is always the direct path: induced maps
+and the cone checks read its rows.
 
 ``les_check`` verifies the mapping-cone identity for ad_mubar on B, the skew
 commutation of ad_mubar with left multiplication by delbar, and the
@@ -283,22 +280,27 @@ class CohomologyData:
         return solve_columns(self.residues, reduced)
 
 
-def _check_differential(value: AlgebraElement) -> None:
+def _request(a, carrier) -> tuple[AlgebraElement, Carrier]:
+    """The value of a and the carrier of a cohomology request, checked in
+    order: the carrier is known, a has degree 1, and [a, a] = 0."""
+    carrier = get_carrier(carrier)
+    value = _as_degree_one(a)
     if not _squares_to_zero(value):
         raise NotADifferential(f"[a, a] != 0 for a = {value}")
+    return value, carrier
 
 
-# keyed by any degree-1 element, so bounded like `_cohomology_data_cached`: a
-# `cohomology` request checks its differential once, not once per degree
+# keyed by any degree-1 element, so bounded like `_cohomology_data_cached`.
+# Every request checks [a, a] = 0, and les_check and a `--reps` table make
+# one request per degree: the cache forms [a, a] once for them, so a warm
+# les_check calls no product
 @lru_cache(maxsize=1024)
 def _squares_to_zero(value: AlgebraElement) -> bool:
     return graded_commutator(value, value).is_zero()
 
 
 def cohomology_data(a, k: int, carrier="g") -> CohomologyData:
-    carrier = get_carrier(carrier)
-    value = _as_degree_one(a)
-    _check_differential(value)
+    value, carrier = _request(a, carrier)
     return _cohomology_data_cached(value, k, carrier)
 
 
@@ -321,51 +323,42 @@ def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> 
     return CohomologyData(k, carrier, rep_coords, image, image_span, residues)
 
 
-def _certified_zero(value: AlgebraElement, k: int, carrier: Carrier) -> bool:
-    """Whether the weight bound proves H^k(carrier, ad_value) = 0: on a
-    built-in carrier, x != 0 and H^k(ad_mubar) = 0, or w != 0 and
-    H^k(ad_mu) = 0, for value = x mubar + y delbar + z del + w mu.  The
-    bound's data is the direct path's, cached and shared by every
-    differential."""
-    if not any(carrier is builtin for builtin in CARRIERS.values()):
-        return False
-    x, _, _, w = generator_coefficients(value)
-    return any(
-        c and _cohomology_data_cached(generator_element(sym), k, carrier).dim == 0
-        for sym, c in ((MUBAR, x), (MU, w))
-    )
-
-
 def _rep_coords(value: AlgebraElement, k: int, carrier: Carrier) -> list[Row]:
     """The rows of H^k(carrier, ad_value)'s representatives: none where the
-    weight bound certifies H^k = 0, and the direct path's elsewhere."""
-    if _certified_zero(value, k, carrier):
-        return []
+    weight bound certifies H^k = 0, and the direct path's elsewhere.
+
+    The weight 2p + q of bidegree (p, q) filters g, h and B; ad_mubar keeps
+    it and ad_delbar, ad_del, ad_mu raise it by 1, 2, 3.  So for value =
+    x mubar + y delbar + z del + w mu with x != 0 the associated graded
+    differential is x ad_mubar, and since the filtration is finite in each
+    degree, dim H^k(ad_value) <= dim H^k(ad_mubar) (McCleary, *A User's
+    Guide to Spectral Sequences*, 2001, ch. 2).  The mirror weight p + 2q
+    gives dim H^k(ad_value) <= dim H^k(ad_mu) when w != 0.  The bound needs
+    a basis of bihomogeneous elements that all four generators preserve, so
+    it is read only on the built-in carriers g, h and B.  Its data is the
+    direct path's, cached and shared by every differential.
+    """
+    if any(carrier is builtin for builtin in CARRIERS.values()):
+        x, _, _, w = generator_coefficients(value)
+        for sym, c in ((MUBAR, x), (MU, w)):
+            if c and _cohomology_data_cached(generator_element(sym), k, carrier).dim == 0:
+                return []
     return _cohomology_data_cached(value, k, carrier).rep_coords
 
 
 def cohomology(a, k: int, carrier="g") -> tuple[int, tuple[AlgebraElement, ...]]:
-    """Dimension and representative basis of H^k(carrier, ad_a).
-
-    On g, h and B, a degree where dim H^k(ad_mubar) = 0 and a has a nonzero
-    mubar coefficient, or dim H^k(ad_mu) = 0 and a nonzero mu coefficient,
-    is answered (0, ()) by the weight spectral sequence's bound (McCleary,
-    2001, ch. 2; see the module docstring) without eliminating ad_a.
-    """
-    carrier = get_carrier(carrier)
-    value = _as_degree_one(a)
-    _check_differential(value)
+    """Dimension and representative basis of H^k(carrier, ad_a), read
+    through ``_rep_coords``, so a degree the weight bound certifies is
+    answered (0, ()) without eliminating ad_a."""
+    value, carrier = _request(a, carrier)
     rep_coords = _rep_coords(value, k, carrier)
     return len(rep_coords), tuple(carrier.element(vec, k) for vec in rep_coords)
 
 
 def cohomology_dims(a, k_max: int, carrier="g") -> dict[int, int]:
-    """dim H^k(carrier, ad_a) for each degree up to ``k_max``, with the
-    zeros the weight bound certifies on g, h and B (McCleary, 2001, ch. 2)
-    read as ``cohomology`` reads them, and no representative formed."""
-    carrier = get_carrier(carrier)
-    value = _as_degree_one(a)
-    _check_differential(value)
+    """dim H^k(carrier, ad_a) for each degree up to ``k_max``, read as
+    ``cohomology`` reads them, with no representative formed."""
+    value, carrier = _request(a, carrier)
     return {k: len(_rep_coords(value, k, carrier)) for k in range(carrier.first_degree, k_max + 1)}
 
 

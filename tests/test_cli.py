@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import pytest
 
 from acalg import cli
+from acalg.algebra import DEL, DELBAR, AlgebraElement, words
 from acalg.cli import main
-from acalg.exprs import parse_element
+from acalg.cohomology import _cohomology_data_cached, _generator_columns
+from acalg.exprs import parse_element, render
 from acalg.mc import g1_coordinates, g1_element
 from acalg.lie import d_lie, dim_h
 from vectors import same_span
@@ -93,6 +96,27 @@ def test_cohomology_subalgebra_carrier(capsys):
     )
     assert code == 0
     assert [row["dim"] for row in json.loads(out)["table"]] == [1, 1, 0, 0]
+
+
+def test_a_table_without_reps_builds_no_word_of_B(capsys):
+    # the dimensions come from cohomology_dims, which forms no element, so a
+    # B table reads B's word index and never forms its words
+    for cache in (words, _generator_columns, _cohomology_data_cached):
+        cache.cache_clear()
+    argv = ("--format", "json", "cohomology", "--diff", "mubar", "--carrier", "B", "--max", "6")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [row["dim"] for row in json.loads(out)["table"]] == [1] * 7
+    assert words.cache_info().currsize == 0
+    # under --reps the representatives are formed: [del, delbar]^3 at degree 6
+    code, out = run(capsys, *argv, "--reps")
+    assert code == 0
+    blocks = itertools.product(((DELBAR, DEL), (DEL, DELBAR)), repeat=3)
+    cube = sum(
+        (AlgebraElement.from_word(tuple(itertools.chain(*b))) for b in blocks),
+        AlgebraElement.zero(),
+    )
+    assert json.loads(out)["table"][6]["representatives"] == [render(cube)]
 
 
 def test_mc_check(capsys):

@@ -62,6 +62,16 @@ REQUESTS = {
         0,
         "51906d46fe5697fdf521108c0d6780a6a994af9084422f54337eda44be83b6de",
     ),
+    "cohomology-B-json": (
+        ["--format", "json", "cohomology", "--diff", "mubar", "--carrier", "B", "--max", "6"],
+        0,
+        "ae574afdd651ac78f3f9305b969b84f280d2448d80ae176e191453f391ad7616",
+    ),
+    "cohomology-st-h-json": (
+        ["--format", "json", "cohomology", "--diff", "st", "1/2", "3+i", "--carrier", "h", "--max", "5"],
+        0,
+        "7db36a45133d7fbf94ee72a17d9591752a7ce3395fef441856cc0d4263498c2c",
+    ),
     "cohomology-reps-g-json": (
         ["--format", "json", "cohomology", "--diff", "mubar", "--carrier", "g", "--max", "5", "--reps"],
         0,

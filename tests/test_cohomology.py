@@ -328,6 +328,25 @@ def test_not_a_differential():
             cohomology(bad, 1, "g")
 
 
+@pytest.mark.parametrize("entry", [cohomology, cohomology_dims, cohomology_data])
+def test_every_entry_point_checks_a_request_in_one_order(entry):
+    # the carrier first, then the degree, then [a, a] = 0, and a refused
+    # request builds no cohomology data
+    _cohomology_data_cached.cache_clear()
+    bad = g1_element(1, 0, 0, 1)  # mubar + mu squares to a nonzero bracket
+    # of degrees 2 and 3; the second does not square to zero either
+    off_degree = (gen(DELBAR) * gen(DEL), gen(DELBAR) * gen(DEL) * gen(DEL))
+    for a in (bad, *off_degree):
+        with pytest.raises(ValueError, match="unknown carrier"):
+            entry(a, 3, "nope")
+    for a in off_degree:
+        with pytest.raises(InvalidDegree):
+            entry(a, 3, "g")
+    with pytest.raises(NotADifferential):
+        entry(bad, 3, "g")
+    assert _cohomology_data_cached.cache_info().currsize == 0
+
+
 # -- zero degrees from the weight bound -----------------------------------------------
 
 BOUND_DIFFERENTIALS = [
