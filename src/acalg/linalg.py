@@ -17,11 +17,19 @@ in every other row's pivot column.
 A row space has exactly one reduced echelon form, so ``rank``, ``nullspace``
 and ``SpanReducer.reduce``, thin readers of the engine, and the greedy
 selections made with ``SpanReducer.add`` do not depend on the order rows
-arrive in.  ``reduce`` gives a vector's residue modulo the span: it is
-linear in the vector and zero exactly on the span.  ``Chart(rows)`` is the
-one coordinate reader: an echelon form of the rows, each tagged by its
-index in columns past all others, whose residues carry a vector's
-coordinates in the rows.  ``solve_columns`` reads one chart.
+arrive in.  The order decides the work, though: a new pivot must be cleared
+from every older row that holds it, and that fill is most of the cost on B.
+So the batch entry point ``SpanReducer(vectors)``, and ``ExactMatrix``'s
+eliminations through it, insert rows by descending leading column: each
+new pivot then mostly lies left of every pivot placed, where no row can
+hold it.  ``add`` and ``Chart`` keep the caller's order, which is part of
+their answer (a greedy choice, a row's tag).
+
+``reduce`` gives a vector's residue modulo the span: it is linear in the
+vector and zero exactly on the span.  ``Chart(rows)`` is the one
+coordinate reader: an echelon form of the rows, each tagged by its index
+in columns past all others, whose residues carry a vector's coordinates
+in the rows.  ``solve_columns`` reads one chart.
 
 The engine computes on Python's own numbers.  Nearly every entry it meets
 is real, and most are small integers, so a real entry is kept as its part,
@@ -157,10 +165,7 @@ class ExactMatrix:
         return f"ExactMatrix[{self.nrows}x{self.ncols}]({body})"
 
     def _echelon(self) -> "SpanReducer":
-        reducer = SpanReducer()
-        for row in self._rows:
-            reducer._insert(_lowered(row))
-        return reducer
+        return SpanReducer(self._rows)
 
     def rank(self) -> int:
         return self._echelon().rank
@@ -168,12 +173,14 @@ class ExactMatrix:
     def nullspace(self) -> list[Row]:
         """Deterministic kernel basis: one row per free column, ascending.
 
-        Free column f gives 1 at f and -row[f] at each pivot row's pivot.
+        Free column f gives 1 at f and -row[f] at each pivot row's pivot,
+        keyed f first and then the pivots in ascending order, so that the
+        key order, like the values, is read off the reduced echelon form.
         """
         pivot_rows = self._echelon()._rows
         kernel = {f: {f: ONE} for f in range(self.ncols) if f not in pivot_rows}
-        for pivot, row in pivot_rows.items():
-            for j, x in row.items():
+        for pivot in sorted(pivot_rows):
+            for j, x in pivot_rows[pivot].items():
                 if j != pivot:
                     kernel[j][pivot] = as_scalar(-x)
         return list(kernel.values())
@@ -218,12 +225,14 @@ class SpanReducer:
     vector is reduced by subtracting its entry at each pivot column times that
     pivot row; a nonzero residue is independent and (on ``add``) becomes a new
     row with a leading 1, whose pivot column is then cleared from every older
-    row.
+    row.  ``add`` takes vectors in the caller's order; the constructor takes
+    its batch by descending leading column, which leaves the same rows.
     """
 
     def __init__(self, vectors: Iterable[Row] = ()):
         self._rows: dict[int, dict] = {}  # pivot column -> reduced row
-        for vec in vectors:
+        self._least = 0  # the least pivot column, once a row is placed
+        for vec in sorted(filter(None, vectors), key=min, reverse=True):
             self.add(vec)
 
     @property
@@ -254,7 +263,11 @@ class SpanReducer:
         return row
 
     def _place(self, residue: dict) -> None:
-        """Make a nonzero residue a row with a leading 1; clear its pivot elsewhere."""
+        """Make a nonzero residue a row with a leading 1; clear its pivot elsewhere.
+
+        A row holds no entry left of its own pivot, so a pivot left of every
+        pivot placed is in no row, and the clearing scan is skipped.
+        """
         pivot = min(residue)
         lead = residue[pivot]
         if lead != 1:
@@ -267,9 +280,12 @@ class SpanReducer:
                 inv = 1 / lead
                 residue = {j: _lower(x * inv) for j, x in residue.items()}
             residue[pivot] = 1
-        for other in self._rows.values():
-            if pivot in other:
-                self._clear(other, residue, pivot)
+        if not self._rows or pivot < self._least:
+            self._least = pivot
+        else:
+            for other in self._rows.values():
+                if pivot in other:
+                    self._clear(other, residue, pivot)
         self._rows[pivot] = residue
 
     def _insert(self, row: dict) -> bool:

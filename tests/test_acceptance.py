@@ -213,6 +213,16 @@ def test_B_tables_are_the_symmetric_algebra_of_h_tables():
     report("PBW", ok, f"H(B, ad a) is Sym H(h, ad a): mubar k=0..10 {tables['mubar']}, d k=0..8 {tables['d']} ({elapsed:.2f}s)")
 
 
+def test_B_is_acyclic_under_d():
+    # H(B, ad mubar) is 1 in every degree, so the weight bound certifies no
+    # degree here: each one is a direct elimination of ad d on B_k
+    start = time.time()
+    dims = list(cohomology_dims(d_lie(), 11, "B").values())
+    elapsed = time.time() - start
+    ok = dims == [1] + [0] * 11 and elapsed < 60.0
+    report("B-d", ok, f"H(B, ad d) k=0..11 dims {dims} ({elapsed:.2f}s)")
+
+
 def test_criterion_4_quasi_isomorphism():
     d = d_lie()
     data = cohomology_data(d, 1, "g")

@@ -102,6 +102,22 @@ REQUESTS = {
         0,
         "aae4fdb0a24afb9ee35552779502a79028a268d886c492c5d81e6b74fcac56cd",
     ),
+    # B in the degrees where the order rows enter the elimination decides its cost
+    "cohomology-reps-mubar-B10-json": (
+        ["--format", "json", "cohomology", "--diff", "mubar", "--carrier", "B", "--max", "10", "--reps"],
+        0,
+        "44c0c86b1bfe524bd2c71b3fb2f64da4846d2e4e33d43055293ad055ee9375da",
+    ),
+    "cohomology-reps-mu-B10-json": (
+        ["--format", "json", "cohomology", "--diff", "mu", "--carrier", "B", "--max", "10", "--reps"],
+        0,
+        "1e104c0792ad56322cd9aab3419949b963f06ac72b6bb4ba36590bb2d405e3ca",
+    ),
+    "cohomology-reps-d-B9-json": (
+        ["--format", "json", "cohomology", "--diff", "d", "--carrier", "B", "--max", "9", "--reps"],
+        0,
+        "f24f32f646f3ca72f7d94de424ad63a236e38719a85be7124360cf64c3a1eca7",
+    ),
     "mc-check-text": (
         ["mc", "check", "1", "1", "1", "1"],
         0,

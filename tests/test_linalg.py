@@ -16,6 +16,7 @@ from acalg.algebra import (
 from acalg.cohomology import ad_matrix
 from acalg.lie import d_lie, lie_generator
 from acalg.linalg import _TAG, Chart, ExactMatrix, SpanReducer, combine, solve_columns
+from acalg.mc import d_st
 from acalg.scalars import HALF as H, I, GaussianRational, ONE, ZERO, as_scalar
 from lie_reference import reference_graded_basis
 from vectors import apply, as_dense, as_row, columns, same_span, transpose, transposed_solve
@@ -463,8 +464,8 @@ def reference_rows(matrix: ExactMatrix):
 def reference_nullspace(matrix: ExactMatrix):
     pivot_rows = ReferenceSpanReducer(reference_rows(matrix))._rows
     kernel = {f: {f: ONE} for f in range(matrix.ncols) if f not in pivot_rows}
-    for pivot, row in pivot_rows.items():
-        for j, x in row.items():
+    for pivot in sorted(pivot_rows):
+        for j, x in pivot_rows[pivot].items():
             if j != pivot:
                 kernel[j][pivot] = -x
     return list(kernel.values())
@@ -620,6 +621,62 @@ def test_engine_matches_reference_on_B_ad_matrices(name, k):
     matrix = ad_matrix(DIFFERENTIALS[name](), k, "B").matrix
     compare_engines(matrix, random.Random(f"B-{name}{k}"))
     compare_engines(transpose(matrix), random.Random(f"B-{name}{k}-t"))
+
+
+# -- batch order ------------------------------------------------------------------
+#
+# SpanReducer(vectors), and ExactMatrix._echelon through it, insert a batch by
+# descending leading column, so that _place mostly skips its clearing scan;
+# add keeps the caller's order.  A row space has one reduced echelon form, so
+# both orders must end with equal rows, and every _place must leave each row
+# reduced: a 1 at its pivot, nothing left of it, and 0 at every other pivot.
+
+
+class CheckedSpanReducer(SpanReducer):
+    """The engine, checking that its rows are reduced after every _place."""
+
+    def _place(self, residue):
+        super()._place(residue)
+        pivots = self._rows.keys()
+        assert self._least == min(pivots)
+        for pivot, row in self._rows.items():
+            assert min(row) == pivot and row[pivot] == 1
+            assert row.keys() & pivots == {pivot}
+
+
+def assert_batch_order_is_free(rows):
+    batch = CheckedSpanReducer(rows)
+    one_by_one = CheckedSpanReducer()
+    for row in rows:
+        one_by_one.add(row)
+    assert batch._rows == one_by_one._rows
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRY_KINDS))
+def test_batch_and_one_by_one_insertion_agree_on_random_sparse_matrices(kind):
+    rng = random.Random(f"order-{kind}")
+    for _ in range(60):
+        matrix = random_sparse_matrix(rng, kind)
+        assert_batch_order_is_free(reference_rows(matrix))
+        assert_batch_order_is_free(columns(matrix))
+
+
+ORDER_DIFFERENTIALS = {**DIFFERENTIALS, "st": lambda: d_st(H, GaussianRational(3, 1))}
+
+
+@pytest.mark.parametrize("name, k", [(name, k) for name in ("mubar", "d", "st") for k in range(0, 8)])
+def test_batch_and_one_by_one_insertion_agree_on_B_ad_matrices(name, k):
+    # rows for the kernel, columns for the image span
+    matrix = ad_matrix(ORDER_DIFFERENTIALS[name](), k, "B").matrix
+    assert_batch_order_is_free(reference_rows(matrix))
+    assert_batch_order_is_free(columns(matrix))
+
+
+def test_a_pivot_right_of_an_older_one_is_cleared_from_it():
+    reducer = CheckedSpanReducer()
+    reducer.add({0: ONE, 2: ONE, 3: ONE})
+    reducer.add({2: ONE, 3: GaussianRational(2)})
+    assert reducer._rows == {0: {0: 1, 3: -1}, 2: {2: 1, 3: 2}}
 
 
 TWO = GaussianRational(2)
