@@ -311,11 +311,17 @@ def _cohomology_data_cached(value: AlgebraElement, k: int, carrier: Carrier) -> 
     image = _ad_columns(value, k - 1, carrier)
     image_span = SpanReducer(image)
     # a kernel vector is a representative when its residue modulo the image
-    # is independent of the residues taken before it
+    # is independent of the residues taken before it.  The image lies in the
+    # kernel ([a, a] = 0), so the residues span dim ker - rank im dimensions,
+    # and no vector after the one that fills them is taken
     accepted = SpanReducer()
     rep_coords: list[Row] = []
     residues: list[Row] = []
-    for vec in ad_matrix(value, k, carrier).matrix.nullspace():
+    kernel = ad_matrix(value, k, carrier).matrix.nullspace()
+    dim = len(kernel) - image_span.rank
+    for vec in kernel:
+        if len(rep_coords) == dim:
+            break
         residue = image_span.reduce(vec)
         if accepted.add(residue):
             rep_coords.append(vec)

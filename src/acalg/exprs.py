@@ -11,12 +11,12 @@ Grammar:
 ("-1*del.mubar - 1*delbar.delbar") parses back to the element it renders.
 Unicode operator names are accepted as aliases for the ASCII ones.
 
-One regular expression scans the text; a number is what ``Fraction`` reads
-(``scalars.UNSIGNED_RATIONAL``: decimal digits, so not ``²``).  ``parse``
-reads the whole text into a postfix program, a flat list of operations, and
-``parse_element`` runs that program on a stack to the expression's element
-of A in normal form.  Syntax errors carry a line and a column, both counted
-in characters from 1.
+One regular expression scans the text; a number is ``digits[/digits]``
+(``scalars.UNSIGNED_RATIONAL``: decimal digits, so not ``²``), read by
+``scalars.rational_from_text``.  ``parse`` reads the whole text into a
+postfix program, a flat list of operations, and ``parse_element`` runs that
+program on a stack to the expression's element of A in normal form.  Syntax
+errors carry a line and a column, both counted in characters from 1.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 import operator
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import AlgebraElement, GENERATORS, generator_element, graded_commutator
 from .errors import ExprSyntaxError
-from .scalars import UNSIGNED_RATIONAL, GaussianRational, I
+from .scalars import UNSIGNED_RATIONAL, I, rational_from_text
 
 _UNICODE_ALIASES = {
     "μ̄": "mubar",   # mu + combining macron
@@ -144,7 +143,7 @@ class _Parser:
         if tok.kind == "num":
             self.advance()
             try:
-                scalar = GaussianRational(Fraction(tok.text))
+                scalar = rational_from_text(tok.text)
             except (ZeroDivisionError, ValueError) as exc:  # ValueError: too many digits
                 if isinstance(exc, ZeroDivisionError):
                     problem = f"zero denominator in {tok.text!r}"

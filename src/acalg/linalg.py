@@ -32,43 +32,37 @@ in columns past all others, whose residues carry a vector's coordinates
 in the rows.  ``solve_columns`` reads one chart.
 
 The engine computes on Python's own numbers.  Nearly every entry it meets
-is real, and most are small integers, so a real entry is kept as its part,
-an ``int`` or a ``Fraction``, and only an entry with a nonzero imaginary part
-stays a ``GaussianRational``, which takes int and Fraction operands on both
-sides; one code path serves real and mixed rows.  Rows are lowered to that
-form where they enter the engine (``SpanReducer.add``, ``reduce`` and
-``contains``, ``ExactMatrix``'s eliminations and ``Chart``) and raised back
-to canonical scalars where they leave it (``reduce``, ``nullspace`` and
-``Chart.coordinates``).  ``ExactMatrix`` stores scalars.
+is a small real integer, so an entry that is a real integer is kept as an
+``int``, and every other entry stays a ``GaussianRational``, which takes int
+operands on both sides; one code path serves real and mixed rows.  Rows are
+lowered to that form where they enter the engine (``SpanReducer.add``,
+``reduce`` and ``contains``, ``ExactMatrix``'s eliminations and ``Chart``)
+and raised back to scalars where they leave it (``reduce``, ``nullspace``
+and ``Chart.coordinates``).  ``ExactMatrix`` stores scalars.
 Dividing by a pivot stays exact: -1 negates the row, an int pivot divides
-int entries by ``divmod`` (an int, or a Fraction when inexact), and every
-other case divides through ``Fraction`` or ``GaussianRational``, so no ``/``
-has two ints as operands.
+int entries by ``divmod`` (an int, or a scalar when inexact), and every
+other case divides through ``GaussianRational``, so no ``/`` has two ints
+as operands.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .scalars import ONE, ZERO, GaussianRational, Scalar, as_scalar
+from .scalars import ONE, ZERO, GaussianRational, Scalar, as_scalar, gaussian
 
 Row = dict[int, Scalar]  # index -> nonzero entry
 
 
 def _lower(x):
-    """An entry as the engine keeps it: an int when integral, a Fraction when
-    real and not integral, and a GaussianRational only when not real."""
-    if type(x) is GaussianRational:
-        return x.re if not x.im else x
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
+    """An entry as the engine keeps it: an int when a real integer, else the
+    GaussianRational."""
+    return x.a if x.n == 1 and not x.b else x
 
 
 def _lowered(row: Row) -> dict:
     """A lowered copy of a row of scalars."""
-    return {j: x.re if not x.im else x for j, x in row.items()}
+    return {j: x.a if x.n == 1 and not x.b else x for j, x in row.items()}
 
 
 class ExactMatrix:
@@ -249,7 +243,10 @@ class SpanReducer:
             y = target.get(j)
             y = -(factor * x) if y is None else y - factor * x
             if type(y) is not int:
-                y = _lower(y)
+                if y.n != 1 or y.b:  # not a real integer, so not zero
+                    target[j] = y
+                    continue
+                y = y.a
             if y:
                 target[j] = y
             else:
@@ -340,5 +337,5 @@ def _divided(x, lead: int):
     """x / lead for an int pivot other than 1 and -1, exactly and lowered."""
     if type(x) is int:
         q, r = divmod(x, lead)
-        return Fraction(x, lead) if r else q
-    return _lower(x / lead)
+        return gaussian(x, 0, lead) if r else q
+    return x / lead  # not a real integer, as x is not

@@ -910,6 +910,28 @@ def test_classes_match_the_reference(carrier, degrees):
             assert got[n + len(data.image) :] == [None] * len(off_kernel), where
 
 
+def full_loop_record(data, kernel):
+    """The representatives and residues as they were chosen when every kernel
+    vector was reduced modulo the image, with no stop at dim ker - rank im."""
+    image_span, accepted = SpanReducer(data.image), SpanReducer()
+    chosen = [(vec, r) for vec in kernel if accepted.add(r := image_span.reduce(vec))]
+    return [vec for vec, _ in chosen], [r for _, r in chosen]
+
+
+@pytest.mark.parametrize(
+    "carrier, degrees",
+    [("g", range(1, 8)), ("h", range(1, 8)), ("B", range(0, 8))],
+)
+def test_the_early_stop_keeps_the_full_loop_record(carrier, degrees):
+    carrier = get_carrier(carrier)
+    for a in CLASS_DIFFERENTIALS:
+        for k in degrees:
+            data = cohomology_data(a, k, carrier)
+            kernel = ad_matrix(a, k, carrier).matrix.nullspace()
+            want = full_loop_record(data, kernel)
+            assert (data.rep_coords, data.residues) == want, (str(a.value), carrier.name, k)
+
+
 def reference_induced_map(a, source, target, raw_map):
     """induced_map as it was before it mapped each family in one batch: every
     vector is mapped, converted and checked on its own, against spans built

@@ -1,11 +1,13 @@
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from acalg.scalars import (
+    _SCALAR_RE,
     GaussianRational,
     I,
     ONE,
@@ -444,3 +446,82 @@ def test_creation_counts_match_reference(monkeypatch):
             a**n
             ra**n
         assert counts[GaussianRational] == counts[RefScalar]
+
+
+def big_rational(rng, bits=200):
+    """A rational of 200-bit numerator and denominator, or an int."""
+    num = rng.getrandbits(bits) * rng.choice([-1, 1])
+    return num if rng.random() < 0.2 else Fraction(num, rng.getrandbits(bits) or 1)
+
+
+def test_large_operands_agree_with_the_reference():
+    rng = random.Random(8)
+    values = []
+    for _ in range(60):
+        re_part, im_part = big_rational(rng), big_rational(rng)
+        values += [(re_part, im_part), (re_part, 0), (0, im_part), (-re_part, 0), (0, -im_part)]
+    values += [(0, 0), (0, Fraction(-1, 3)), (0, -1)]  # zero and purely imaginary divisors
+    for x, y in zip(values, values[1:] + values[:1]):
+        (a, ra), (b, rb) = both(x), both(y)
+        assert_agrees(a, ra)
+        for op in BINARY_OPS:
+            if op is operator.truediv and not rb:
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+                continue
+            assert_agrees(op(a, b), op(ra, rb))
+
+
+M = sys.hash_info.modulus
+
+
+@pytest.mark.parametrize("n", [M - 1, M, M + 1, 2 * M, M * M, 3 * M * M + M])
+def test_hash_with_denominators_near_the_hash_modulus(n):
+    # a part whose reduced denominator is a multiple of the modulus has no
+    # inverse modulo it, and Fraction then hashes it as +-inf
+    for p in (1, -1, 2, M, -M, 2 * M, M - 1, n - 1, 6 * n + 5, 0):
+        for re_part, im_part in ((Fraction(p, n), 0), (1, Fraction(p, n)), (Fraction(p, n), Fraction(-1, n))):
+            a, ra = both((re_part, im_part))
+            assert_agrees(a, ra)
+            assert_agrees(a * a, ra * ra)
+
+
+def reference_scalar_from_text(text):
+    """scalar_from_text as it read numbers through Fraction."""
+    m = _SCALAR_RE.match(text.strip())
+    if not m or (m.group("re") is None and m.group("im") is None):
+        raise ValueError(f"not a scalar literal: {text!r}")
+    try:
+        re_part = Fraction(m.group("re") or 0)
+        coef = Fraction(m.group("imcoef") or 1)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar literal: {text!r}") from None
+    except ValueError:
+        raise ValueError(
+            f"number with more than {sys.get_int_max_str_digits()} digits in scalar literal"
+        ) from None
+    im_part = Fraction(0)
+    if m.group("im") is not None:
+        if m.group("re") is not None and m.group("imsign") is None:
+            raise ValueError(f"not a scalar literal: {text!r}")
+        im_part = -coef if m.group("imsign") == "-" else coef
+    return RefScalar(re_part, im_part)
+
+
+LONG = "9" * 4301
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0", "-0", "+7", "007/0014", "-12/18+0/5*i", "3-0*i", "٣/٤*i", " 1/2-i ", "1/0", "1/0*i",
+     "0/0", f"{LONG}", f"1/{LONG}", f"{LONG}/0", f"1+{LONG}*i", "1/2/3", "12*i", "i*i", ""],
+)
+def test_text_reads_as_through_fraction(text):
+    try:
+        want = reference_scalar_from_text(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            scalar_from_text(text)
+        assert str(info.value) == str(exc)
+    else:
+        assert_agrees(scalar_from_text(text), want)
