@@ -486,7 +486,8 @@ class AlgebraElement:
 
     @classmethod
     def from_terms(cls, pairs: Iterable[tuple[NormalMonomial, Scalar]]) -> "AlgebraElement":
-        return cls._of_nonzero(combine((ONE, {mono: as_scalar(c)}) for mono, c in pairs))
+        # each coefficient goes in as its row's, so combine skips a zero one
+        return cls._of_nonzero(combine((as_scalar(c), {mono: ONE}) for mono, c in pairs))
 
     # -- inspection -----------------------------------------------------------
 

@@ -183,23 +183,39 @@ class ExactMatrix:
 def combine(terms: Iterable[tuple[Scalar, Mapping]]) -> dict:
     """sum_t c_t * row_t over the pairs (c_t, row_t), a new row holding
     nonzero entries only.  A row may be keyed by anything hashable: matrix
-    rows by column, algebra elements by monomial.
+    rows by column, algebra elements by monomial.  Every row must hold
+    nonzero entries only.
 
-    A row whose coefficient is the shared ``ONE`` is added as it is, and an
-    entry that is ``ONE`` contributes a scalar coefficient itself (an int or
-    ``Fraction`` one still becomes a scalar), so a plain sum multiplies
-    nothing.  Zero entries are dropped once, at the end.
+    A row whose coefficient is zero is skipped, one whose coefficient is the
+    shared ``ONE`` is added as it is, and an entry that is ``ONE``
+    contributes a scalar coefficient itself (an int or ``Fraction`` one
+    still becomes a scalar), so a plain sum multiplies nothing.  Q(i) has no
+    zero divisors, so an entry that received one term is nonzero: only the
+    keys that received a second term are zero-tested, once, at the end.
     """
     out = {}
+    shared = set()
     for c, row in terms:
         if c is ONE:
             for j, x in row.items():
-                out[j] = out[j] + x if j in out else x
-        else:
+                if j in out:
+                    out[j] = out[j] + x
+                    shared.add(j)
+                else:
+                    out[j] = x
+        elif c:
             for j, x in row.items():
                 y = c if x is ONE and type(c) is GaussianRational else c * x
-                out[j] = out[j] + y if j in out else y
-    return {j: x for j, x in out.items() if x}
+                if j in out:
+                    out[j] = out[j] + y
+                    shared.add(j)
+                else:
+                    out[j] = y
+    dropped = [j for j in shared if not out[j]]
+    for j in dropped:
+        del out[j]
+    # a dict keeps its table after deletions; a copy is sized for what is left
+    return dict(out) if dropped else out
 
 
 def solve_columns(

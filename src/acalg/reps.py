@@ -16,6 +16,13 @@ whose second-level structure constants are the six parameter equations (see
 [del, delbar] and so descends to the six-dimensional quotient, on which its
 matrices stay linearly independent (``quotient_faithfulness``).
 
+``verify_relations``, ``act`` and ``quotient_faithfulness`` look the rep up
+once per call in one bounded cache keyed by its value: a record of its four
+action matrices, its violations and its faithfulness verdict, each part built
+on first use.  A rep equal to one seen before, even loaded again from a file,
+gets both verdicts without recomputing them; an ``UnverifiedRep`` or
+``IdealNotKilled`` is raised anew on every call.
+
 File format (JSON):
 
     {"vectors": [{"label": "x", "p": 0, "q": 0}, ...],
@@ -122,13 +129,6 @@ def action_matrix(rep: BigradedRep, sym: str) -> ExactMatrix:
     )
 
 
-# keyed by the rep like `_is_verified`, and as bounded; the matrices are
-# shared by `act` and `verify_relations`, which only read them
-@lru_cache(maxsize=256)
-def _action_matrices(rep: BigradedRep) -> Mapping[str, ExactMatrix]:
-    return MappingProxyType({sym: action_matrix(rep, sym) for sym in GENERATORS})
-
-
 @dataclass(frozen=True)
 class RelationViolation:
     relation: str
@@ -140,28 +140,87 @@ class RelationViolation:
         return f"{self.relation} fails on {self.vector}: maps to {img}"
 
 
+class _RepRecord:
+    """What the package knows of one rep value: its four action matrices,
+    built with the record, and its violations and faithfulness verdict,
+    each built on first use.  Every part is only read once built; threads
+    that race to build one store equal values."""
+
+    __slots__ = ("rep", "matrices", "_violations", "_faithful")
+
+    def __init__(self, rep: BigradedRep):
+        self.rep = rep
+        self.matrices = MappingProxyType({sym: action_matrix(rep, sym) for sym in GENERATORS})
+        self._violations: tuple[RelationViolation, ...] | None = None
+        self._faithful: bool | None = None
+
+    def violations(self) -> tuple[RelationViolation, ...]:
+        if self._violations is None:
+            rep, matrices = self.rep, self.matrices
+            found = []
+            for name, words in RELATIONS:
+                terms = [(c, matrices[first] @ matrices[second]) for c, (first, second) in words]
+                total = ExactMatrix.combination(terms, rep.dim, rep.dim)
+                columns: dict[int, list[tuple[str, Scalar]]] = {}
+                for i, j, c in total.nonzero():
+                    columns.setdefault(j, []).append((rep.labels[i], c))
+                for j in sorted(columns):
+                    found.append(RelationViolation(name, rep.labels[j], tuple(columns[j])))
+            self._violations = tuple(found)
+        return self._violations
+
+    def act(self, a: AlgebraElement) -> ExactMatrix:
+        if len(a) > 1 and self.violations():
+            raise UnverifiedRep(
+                "representation fails the relations; only single-word actions are defined"
+            )
+        matrices, n = self.matrices, self.rep.dim
+        terms = []
+        # an exact sum does not depend on the order of the terms
+        for mono, coeff in a._terms.items():
+            letters = mono.letters
+            if letters:
+                partial = matrices[letters[-1]]
+                for sym in letters[-2::-1]:
+                    partial = matrices[sym] @ partial
+            else:
+                partial = ExactMatrix.identity(n)
+            terms.append((coeff, partial))
+        return ExactMatrix.combination(terms, n, n)
+
+    def faithful(self) -> bool:
+        # an IdealNotKilled or UnverifiedRep leaves the verdict unset, so
+        # every call raises it again
+        if self._faithful is None:
+            delbar = generator_element(DELBAR)
+            del_ = generator_element(DEL)
+            if not self.act(graded_commutator(del_, delbar)).is_zero():
+                raise IdealNotKilled("[del, delbar] does not act by zero")
+            basis = [generator_element(sym) for sym in GENERATORS]
+            basis.append(graded_commutator(del_, del_))
+            basis.append(graded_commutator(delbar, delbar))
+            n = self.rep.dim
+            reducer = SpanReducer()
+            self._faithful = all(
+                reducer.add({i * n + j: x for i, j, x in self.act(elt).nonzero()})
+                for elt in basis
+            )
+        return self._faithful
+
+
+# one lookup, and one hash of the rep, per public call below
+@lru_cache(maxsize=256)
+def _record(rep: BigradedRep) -> _RepRecord:
+    return _RepRecord(rep)
+
+
 def verify_relations(rep: BigradedRep) -> list[RelationViolation]:
     """Evaluate the seven defining relations as operators on the rep.
 
     Returns the empty list exactly when the data is a representation of the
     algebra; violations are returned as data, never raised.
     """
-    matrices = _action_matrices(rep)
-    violations: list[RelationViolation] = []
-    for name, words in RELATIONS:
-        terms = [(coeff, matrices[first] @ matrices[second]) for coeff, (first, second) in words]
-        total = ExactMatrix.combination(terms, rep.dim, rep.dim)
-        columns: dict[int, list[tuple[str, Scalar]]] = {}
-        for i, j, c in total.nonzero():
-            columns.setdefault(j, []).append((rep.labels[i], c))
-        for j in sorted(columns):
-            violations.append(RelationViolation(name, rep.labels[j], tuple(columns[j])))
-    return violations
-
-
-@lru_cache(maxsize=256)
-def _is_verified(rep: BigradedRep) -> bool:
-    return not verify_relations(rep)
+    return list(_record(rep).violations())
 
 
 def act(rep: BigradedRep, a: AlgebraElement) -> ExactMatrix:
@@ -171,23 +230,7 @@ def act(rep: BigradedRep, a: AlgebraElement) -> ExactMatrix:
     evaluation (the value would otherwise depend on the representative);
     anything longer raises :class:`UnverifiedRep`.
     """
-    if len(a) > 1 and not _is_verified(rep):
-        raise UnverifiedRep(
-            "representation fails the relations; only single-word actions are defined"
-        )
-    matrices = _action_matrices(rep)
-    terms = []
-    # an exact sum does not depend on the order of the terms
-    for mono, coeff in a._terms.items():
-        letters = mono.letters
-        if letters:
-            partial = matrices[letters[-1]]
-            for sym in letters[-2::-1]:
-                partial = matrices[sym] @ partial
-        else:
-            partial = ExactMatrix.identity(rep.dim)
-        terms.append((coeff, partial))
-    return ExactMatrix.combination(terms, rep.dim, rep.dim)
+    return _record(rep).act(a)
 
 
 def quotient_faithfulness(rep: BigradedRep) -> bool:
@@ -197,21 +240,7 @@ def quotient_faithfulness(rep: BigradedRep) -> bool:
     together with [del, del] and [delbar, delbar].  Precondition: the ideal
     generator [del, delbar] must act by zero (:class:`IdealNotKilled`).
     """
-    delbar = generator_element(DELBAR)
-    del_ = generator_element(DEL)
-    ideal_gen = graded_commutator(del_, delbar)
-    if not act(rep, ideal_gen).is_zero():
-        raise IdealNotKilled("[del, delbar] does not act by zero")
-    basis = [generator_element(sym) for sym in GENERATORS]
-    basis.append(graded_commutator(del_, del_))
-    basis.append(graded_commutator(delbar, delbar))
-    n = rep.dim
-    reducer = SpanReducer()
-    for elt in basis:
-        flat = {i * n + j: x for i, j, x in act(rep, elt).nonzero()}
-        if not reducer.add(flat):
-            return False
-    return True
+    return _record(rep).faithful()
 
 
 def direct_sum(r1: BigradedRep, r2: BigradedRep, rename: bool = False) -> BigradedRep:

@@ -28,7 +28,8 @@ from acalg.lie import lie_basis
 from acalg.linalg import ExactMatrix
 from acalg.mc import phi_conjugation_check
 from acalg.reps import (
-    _action_matrices,
+    BigradedRep,
+    _record,
     act,
     action_matrix,
     build_example_rep,
@@ -394,6 +395,76 @@ def test_action_matrix_matches_the_reference():
 
 def test_action_matrices_are_shared_and_bounded():
     rep = build_example_rep(1, 2, 3)
-    assert _action_matrices.cache_info().maxsize is not None
-    assert _action_matrices(rep) is _action_matrices(build_example_rep(1, 2, 3))
-    assert dict(_action_matrices(rep)) == {sym: action_matrix(rep, sym) for sym in GENERATORS}
+    assert _record.cache_info().maxsize is not None
+    assert _record(rep) is _record(build_example_rep(1, 2, 3))
+    assert dict(_record(rep).matrices) == {sym: action_matrix(rep, sym) for sym in GENERATORS}
+
+
+# -- the per-rep record ---------------------------------------------------------------
+
+
+def counting(monkeypatch, cls, attr):
+    """Count the calls of ``cls.attr`` while the test runs."""
+    calls = []
+    original = getattr(cls, attr)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["faithful", "verify"])
+def test_a_rep_request_hashes_its_rep_once(command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "rep.json"
+    save_rep(build_example_rep(GaussianRational(1, 7), 2, -HALF), path)
+    hashes = counting(monkeypatch, BigradedRep, "__hash__")
+    for _ in range(2):  # first seen, then repeated
+        hashes.clear()
+        assert main(["rep", command, str(path)]) == 0
+        assert len(hashes) == 1
+    capsys.readouterr()
+
+
+def test_a_repeated_rep_is_verified_without_a_matmul(tmp_path, monkeypatch):
+    path = tmp_path / "rep.json"
+    save_rep(build_example_rep(GaussianRational(3, 5), -1, HALF), path)
+    _record.cache_clear()
+    matmuls = counting(monkeypatch, ExactMatrix, "__matmul__")
+    assert verify_relations(load_rep(path)) == [] and quotient_faithfulness(load_rep(path))
+    assert matmuls
+    matmuls.clear()
+    # an equal rep, loaded again from the same file
+    assert verify_relations(load_rep(path)) == [] and quotient_faithfulness(load_rep(path))
+    assert not matmuls
+
+
+def test_the_violation_list_is_the_callers_own(monkeypatch):
+    bad = broken_example_rep()
+    first = verify_relations(bad)
+    expected = list(first)
+    first.clear()
+    matmuls = counting(monkeypatch, ExactMatrix, "__matmul__")
+    again = verify_relations(bad)
+    assert again == expected and again is not first
+    again.append(None)
+    assert verify_relations(bad) == expected
+    assert _record(bad).violations() == tuple(expected)
+    assert not matmuls
+
+
+def test_rep_errors_are_raised_on_every_call():
+    bad = broken_example_rep()
+    regular = truncated_regular_rep()
+    multi = generator_element(DELBAR) + generator_element(DEL)
+    for _ in range(3):
+        with pytest.raises(UnverifiedRep):
+            act(bad, multi)
+        with pytest.raises(UnverifiedRep):
+            quotient_faithfulness(bad)
+        with pytest.raises(IdealNotKilled):
+            quotient_faithfulness(regular)
+    # a failed verdict is never stored
+    assert _record(bad)._faithful is None and _record(regular)._faithful is None

@@ -29,18 +29,24 @@ from acalg.algebra import (
     rewrite_word,
 )
 from acalg.cohomology import get_carrier
+from acalg.errors import IdealNotKilled, UnverifiedRep
 from acalg.linalg import ExactMatrix
 from acalg.mc import g1_element
 from acalg.reps import (
     RelationViolation,
-    _action_matrices,
+    _record,
     act,
+    action_matrix,
     build_example_rep,
+    direct_sum,
+    make_rep,
+    quotient_faithfulness,
     rep_from_dict,
     rep_to_dict,
     verify_relations,
 )
 from acalg.scalars import ZERO, GaussianRational, as_scalar
+from test_reps import truncated_regular_rep
 
 # -- the references ---------------------------------------------------------------
 
@@ -111,7 +117,7 @@ def reference_matrix_scale(m, coeff):
 
 
 def reference_act(rep, a):
-    matrices = _action_matrices(rep)
+    matrices = {sym: action_matrix(rep, sym) for sym in GENERATORS}
     total = None
     for mono, coeff in a._terms.items():
         letters = mono.letters
@@ -127,7 +133,7 @@ def reference_act(rep, a):
 
 
 def reference_verify_relations(rep):
-    matrices = _action_matrices(rep)
+    matrices = {sym: action_matrix(rep, sym) for sym in GENERATORS}
     violations = []
     for name, words in RELATIONS:
         total = ExactMatrix.zeros(rep.dim, rep.dim)
@@ -140,6 +146,20 @@ def reference_verify_relations(rep):
         for j in sorted(columns):
             violations.append(RelationViolation(name, rep.labels[j], tuple(columns[j])))
     return violations
+
+
+def reference_quotient_faithfulness(rep):
+    """Independence of the six quotient basis elements' matrices, by the
+    rank of their flattened rows, with the record's two preconditions."""
+    if reference_verify_relations(rep):
+        raise UnverifiedRep("relations fail")
+    delbar, del_ = generator_element(DELBAR), generator_element(DEL)
+    if not reference_act(rep, graded_commutator(del_, delbar)).is_zero():
+        raise IdealNotKilled("[del, delbar] does not act by zero")
+    basis = [generator_element(sym) for sym in GENERATORS]
+    basis += [graded_commutator(del_, del_), graded_commutator(delbar, delbar)]
+    flat = [[x for row in reference_act(rep, elt).rows for x in row] for elt in basis]
+    return ExactMatrix(flat).rank() == len(basis)
 
 
 # -- random data --------------------------------------------------------------------
@@ -329,3 +349,34 @@ def test_act_and_verify_relations_match_the_matrix_sum_reference():
         assert len(ideal) == 2 and act(rep, ideal) == reference_act(rep, ideal)
         assert act(rep, ideal).is_zero()
         assert act(rep, AlgebraElement.zero()) == ExactMatrix.zeros(rep.dim, rep.dim)
+
+
+def outcome(verdict, rep):
+    """The verdict, or the type of the error it raises."""
+    try:
+        return verdict(rep)
+    except (UnverifiedRep, IdealNotKilled) as exc:
+        return type(exc)
+
+
+def test_the_rep_record_matches_the_uncached_reference():
+    rng = random.Random(1506)
+    family = [build_example_rep(*random_parameters(rng)) for _ in range(4)]
+    regular = truncated_regular_rep()
+    bad = [broken(rep, rng) for rep in family[:2]]
+    reps = family + bad + [regular, make_rep([("a", 0, 0), ("b", 1, 0)], {})]
+    reps += [
+        direct_sum(family[0], family[1], rename=True),
+        direct_sum(family[2], regular, rename=True),
+        direct_sum(bad[0], family[3], rename=True),
+    ]
+    outcomes = set()
+    for rep in reps:
+        violations = reference_verify_relations(rep)
+        expected = outcome(reference_quotient_faithfulness, rep)
+        outcomes.add(expected)
+        for _ in range(2):  # built, then read from the record
+            assert verify_relations(rep) == violations
+            assert _record(rep).violations() == tuple(violations)
+            assert outcome(quotient_faithfulness, rep) == expected
+    assert outcomes == {True, False, UnverifiedRep, IdealNotKilled}
